@@ -74,11 +74,12 @@ fn partition_ablation() {
         }
         let wa = db.write_amp();
         let (pm, ssd, user) = (wa.pm_bytes, wa.ssd_bytes, wa.user_bytes);
+        let snap = db.metrics_snapshot();
         table.row(&[
             parts.to_string(),
-            pct(db.stats().pm_hit_ratio()),
+            pct(snap.pm_hit_ratio()),
             format!("{:.1}x", (pm + ssd) as f64 / user.max(1) as f64),
-            db.stats().internal_compactions.get().to_string(),
+            snap.counter("internal_compactions").to_string(),
         ]);
     }
     table.print();

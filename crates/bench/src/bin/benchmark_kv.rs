@@ -404,7 +404,7 @@ fn threaded_writes(
         wall,
         ops as f64 / wall.as_secs_f64().max(1e-12),
         threads,
-        db.stats().group_commits.get(),
+        db.metrics_snapshot().counter("group_commits"),
     );
 }
 
@@ -450,7 +450,7 @@ fn read_random(db: &mut Db, args: &Args) -> Histogram {
         "{:<18} hit ratio {:.1}%  served from pm {:.1}%",
         "",
         100.0 * hits as f64 / args.reads as f64,
-        100.0 * db.stats().pm_hit_ratio()
+        100.0 * db.metrics_snapshot().pm_hit_ratio()
     );
     report_read_path(db);
     hist
@@ -500,7 +500,7 @@ fn read_hot(db: &mut Db, args: &Args) {
         "{:<18} hot set {hot} keys  hit ratio {:.1}%  served from pm {:.1}%",
         "",
         100.0 * hits as f64 / args.reads as f64,
-        100.0 * db.stats().pm_hit_ratio()
+        100.0 * db.metrics_snapshot().pm_hit_ratio()
     );
     report_read_path(db);
 }

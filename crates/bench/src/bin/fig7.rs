@@ -103,12 +103,12 @@ fn main() {
                     .compact(CompactionRequest::Major { partition: 0 })
                     .unwrap(),
             }
-            let log = db.compaction_log();
-            let ev = log.last().unwrap();
+            let snap = db.metrics_snapshot();
+            let ev = snap.spans.last().unwrap();
             // Interference felt by one read: the compaction occupies the
             // device for its duration; a concurrent random read waits a
             // uniformly-distributed slice of the per-I/O service time.
-            ev.duration / (db.stats().puts.get().max(1) / 4).max(1)
+            ev.duration() / (snap.counter("puts").max(1) / 4).max(1)
         } else {
             sim::SimDuration::ZERO
         };

@@ -85,7 +85,7 @@ fn main() {
                     db.put(k.as_bytes(), &value).unwrap();
                 }
             }
-            row.push(pct(db.stats().pm_hit_ratio()));
+            row.push(pct(db.metrics_snapshot().pm_hit_ratio()));
         }
         fig8b.row(&row);
     }

@@ -43,13 +43,13 @@ fn main() {
                 writes += 1;
             }
         }
-        let bg: sim::SimDuration = db.compaction_log().iter().map(|e| e.duration).sum();
+        let bg: sim::SimDuration = bench::compaction_time(&db);
         let wa = db.write_amp();
         let (pm, ssd, user) = (wa.pm_bytes, wa.ssd_bytes, wa.user_bytes);
         results.push((
             read_total / reads,
             write_total / writes,
-            db.stats().pm_hit_ratio(),
+            db.metrics_snapshot().pm_hit_ratio(),
             (pm + ssd) as f64 / user.max(1) as f64,
             bg,
         ));

@@ -27,7 +27,7 @@ fn main() {
         let before = db.pm_used() as u64;
         db.compact(CompactionRequest::Internal { partition: 0 })
             .unwrap();
-        let released = db.stats().internal_space_released.get();
+        let released = db.metrics_snapshot().counter("internal_space_released");
         table.row(&[
             format!("{skew:.1}"),
             mib(before),

@@ -3,8 +3,7 @@
 //! measures internal compaction at roughly half the SSD duration.
 
 use bench::{ms, Table};
-use pm_blade::engine::CompactionKind;
-use pm_blade::{CompactionRequest, Db, Mode, Options};
+use pm_blade::{CompactionRequest, Db, Mode, Options, SpanKind};
 
 fn run(mode: Mode, value_size: usize) -> sim::SimDuration {
     let mut opts: Options = match mode {
@@ -31,11 +30,12 @@ fn run(mode: Mode, value_size: usize) -> sim::SimDuration {
             .unwrap(),
         _ => unreachable!(),
     }
-    db.compaction_log()
+    db.metrics_snapshot()
+        .spans
         .iter()
         .rev()
-        .find(|e| matches!(e.kind, CompactionKind::Internal | CompactionKind::Major))
-        .map(|e| e.duration)
+        .find(|s| matches!(s.kind, SpanKind::Internal | SpanKind::Major))
+        .map(|s| s.duration())
         .expect("compaction ran")
 }
 

@@ -204,6 +204,16 @@ pub fn mib(bytes: u64) -> String {
     format!("{:.1}MiB", bytes as f64 / (1 << 20) as f64)
 }
 
+/// Total virtual time of the compactions still in the engine's span
+/// ring (flushes, internal and major compactions).
+pub fn compaction_time(db: &Db) -> sim::SimDuration {
+    db.metrics_snapshot()
+        .spans
+        .iter()
+        .map(|s| s.duration())
+        .sum()
+}
+
 /// Load `total_bytes` of `value_size`-valued data into a database.
 ///
 /// `skew < 0` writes every key exactly once in order (a sequential
@@ -274,6 +284,6 @@ mod tests {
         .unwrap();
         let n = load_data(&mut db, 256 << 10, 100, 0.0, 7);
         assert!(n > 1000);
-        assert!(db.stats().puts.get() == n);
+        assert_eq!(db.metrics_snapshot().counter("puts"), n);
     }
 }

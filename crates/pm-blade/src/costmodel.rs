@@ -14,6 +14,8 @@
 //!    hottest partitions in PM: maximize `Σ nʳᵢ` subject to
 //!    `Σ sᵢ ≤ τ_t`, solved greedily by read density `nʳᵢ / sᵢ`.
 
+use std::sync::Arc;
+
 use encoding::delta::CodecStats;
 use pm_device::PmPool;
 use pmtable::{
@@ -31,12 +33,18 @@ use crate::telemetry::CostDecision;
 ///
 /// The read/write/update tallies are atomic [`Counter`]s so the hot
 /// read path can bump them while holding only the partition's *read*
-/// lock; `window_start` is plain data, mutated only under the write
-/// lock (compactions).
-#[derive(Clone, Debug)]
+/// lock; `window_start` and `read_base` are plain data, mutated only
+/// under the write lock (compactions).
+///
+/// `reads` is cumulative — the engine files it in the metrics registry
+/// as `partition_reads{p}`, so one counter serves both Eq 1 and
+/// `/metrics` — and a reset records a base instead of zeroing it.
+#[derive(Debug)]
 pub struct PartitionCounters {
-    /// `n_i^r`: reads since the window started.
-    pub reads: Counter,
+    /// Reads that reached the partition since open.
+    pub reads: Arc<Counter>,
+    /// `reads` at the start of the window.
+    read_base: u64,
     /// `n_i^w`: writes since the window started.
     pub writes: Counter,
     /// `n_i^u`: writes that overwrote an existing key (updates).
@@ -48,30 +56,36 @@ pub struct PartitionCounters {
 impl PartitionCounters {
     pub fn new(now: SimInstant) -> Self {
         PartitionCounters {
-            reads: Counter::default(),
+            reads: Arc::default(),
+            read_base: 0,
             writes: Counter::default(),
             updates: Counter::default(),
             window_start: now,
         }
     }
 
+    /// `n_i^r`: reads since the window started.
+    pub fn window_reads(&self) -> u64 {
+        self.reads.get().saturating_sub(self.read_base)
+    }
+
     /// `n̂_i^r`: reads per virtual second over the window.
     pub fn read_rate(&self, now: SimInstant) -> f64 {
+        let reads = self.window_reads();
         let secs = now.duration_since(self.window_start).as_secs_f64();
         if secs <= 0.0 {
             // A zero-length window with reads counts as very hot.
-            return if self.reads.get() > 0 {
-                f64::INFINITY
-            } else {
-                0.0
-            };
+            return if reads > 0 { f64::INFINITY } else { 0.0 };
         }
-        self.reads.get() as f64 / secs
+        reads as f64 / secs
     }
 
-    /// Reset at compaction time.
+    /// Start a new window at compaction time.
     pub fn reset(&mut self, now: SimInstant) {
-        *self = PartitionCounters::new(now);
+        self.read_base = self.reads.get();
+        self.writes = Counter::default();
+        self.updates = Counter::default();
+        self.window_start = now;
     }
 }
 
@@ -691,7 +705,8 @@ mod tests {
         c.writes.add(20);
         c.updates.add(5);
         c.reset(at(3));
-        assert_eq!(c.reads.get(), 0);
+        assert_eq!(c.window_reads(), 0);
+        assert_eq!(c.reads.get(), 10, "the registry count stays cumulative");
         assert_eq!(c.writes.get(), 0);
         assert_eq!(c.updates.get(), 0);
         assert_eq!(c.window_start, at(3));

@@ -55,7 +55,6 @@ use sstable::{BlockCache, SsTable};
 use sim::Counter;
 
 use crate::commit::{BatchOp, CommitMetrics, Committer, Ticket, WriteBatch};
-use crate::compaction::CompactionWork;
 use crate::costmodel::{
     explain_read_benefit_coded, explain_write_benefit_coded, select_retained, RetentionCandidate,
 };
@@ -67,10 +66,10 @@ use crate::maintenance::{self, Job, JobKind, MaintenanceShared, QueueMetrics};
 use crate::manifest::{Manifest, ManifestError, PartitionVersion, SsdMeta, VersionEdit};
 use crate::options::{MaintenanceMode, Mode, Options};
 use crate::partition::{Level0, Partition};
-use crate::stats::{EngineStats, LatencyStats, ReadSource};
+use crate::stats::{roll_up, ReadSource};
 use crate::telemetry::{
-    chrome_trace_json, CostDecision, EventRing, LatencyRecorder, MetricKey, MetricsRegistry,
-    MetricsSnapshot, RequestTrace, SpanKind, StageTrace, TraceContext, TraceOp, TraceSpan, Tracer,
+    chrome_trace_json, CostDecision, LatencyRecorder, MetricKey, MetricsRegistry, MetricsSnapshot,
+    RequestTrace, Ring, SpanKind, StageTrace, TraceContext, TraceOp, TraceSpan, Tracer,
 };
 
 /// Engine errors.
@@ -309,23 +308,6 @@ impl WriteAmp {
             (self.pm_bytes + self.ssd_bytes) as f64 / self.user_bytes as f64
         }
     }
-}
-
-/// One background-compaction record.
-#[derive(Clone, Debug)]
-pub struct CompactionEvent {
-    pub kind: CompactionKind,
-    pub partition: usize,
-    pub duration: SimDuration,
-    /// For major compactions: the measured work (drives §V scheduling).
-    pub work: Option<CompactionWork>,
-}
-
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub enum CompactionKind {
-    Minor,
-    Internal,
-    Major,
 }
 
 /// A compaction the caller wants run now, handled by [`DbCore::compact`].
@@ -686,7 +668,6 @@ pub struct DbCore {
     /// Per-engine [`PmTableHandle::cache_id`] allocator (see
     /// [`CacheIds`] for why it must not be process-global).
     cache_ids: CacheIds,
-    stats: EngineStats,
     wal: Option<Mutex<WalRing>>,
     /// The durable table-lifecycle log; `Some` iff `opts.wal_dir` is
     /// set. Locked only while no partition or WAL-ring lock is held.
@@ -699,11 +680,27 @@ pub struct DbCore {
     /// Mean value size observed (drives compaction trace balance).
     value_bytes_sum: AtomicU64,
     value_count: AtomicU64,
-    /// Metrics registry; every engine counter/gauge/histogram lives (or
-    /// is mirrored) here so one `metrics_snapshot()` sees everything.
+    /// Metrics registry: the engine's only counter store. Each event is
+    /// counted once, at its finest label; `metrics_snapshot()` sums the
+    /// per-partition counts into the global totals (see `stats`).
     registry: MetricsRegistry,
-    /// Capped span ring backing `compaction_log()` / snapshot spans.
-    ring: EventRing,
+    /// User payload bytes accepted by `put`/`delete` (the denominator of
+    /// write amplification).
+    user_bytes_written: Arc<Counter>,
+    puts: Arc<Counter>,
+    deletes: Arc<Counter>,
+    scans: Arc<Counter>,
+    /// `WriteBatch` submissions (a batch of N ops counts once).
+    batch_writes: Arc<Counter>,
+    minor_compactions: Arc<Counter>,
+    internal_compactions: Arc<Counter>,
+    major_compactions: Arc<Counter>,
+    /// Bytes reclaimed on PM by internal compaction (Table IV).
+    internal_space_released: Arc<Counter>,
+    /// Records dropped as duplicates by internal compaction.
+    internal_dropped_records: Arc<Counter>,
+    /// Capped ring of recent compaction spans (`MetricsSnapshot::spans`).
+    ring: Ring<TraceSpan>,
     /// Monotonic span-id allocator (ids order span *completion*).
     span_ids: AtomicU64,
     /// Per-partition read-source counter handles (hot path: no registry
@@ -742,9 +739,9 @@ pub struct DbCore {
     tracer: Tracer,
 }
 
-/// Pre-fetched per-partition read counters (see [`DbCore::read_metrics`]).
+/// Pre-fetched per-partition read-source counters (see
+/// [`DbCore::read_metrics`]).
 struct ReadMetrics {
-    reads: Arc<Counter>,
     memtable: Arc<Counter>,
     pm: Arc<Counter>,
     miss: Arc<Counter>,
@@ -942,17 +939,23 @@ impl DbCore {
             }
         };
         let registry = MetricsRegistry::new();
-        let stats = EngineStats::default();
-        stats.register(&registry);
+        let counter = |name| registry.counter(MetricKey::global(name));
         let committers = (0..partitions.len())
             .map(|pid| Committer::new(CommitMetrics::register(&registry, pid)))
             .collect();
-        // Pre-register the per-partition read counters (and the level-1
-        // SSD source — deeper levels register lazily on first hit) so a
-        // snapshot taken before any read still lists them at zero.
+        // Eq 1's read count is the registry's `partition_reads{p}`.
+        // Pre-register the per-partition read-source counters (and the
+        // level-1 SSD source — deeper levels register lazily on first
+        // hit) so a snapshot taken before any read still lists them at
+        // zero.
+        for p in &partitions {
+            registry.register_counter(
+                MetricKey::partition("partition_reads", p.id),
+                Arc::clone(&p.counters.reads),
+            );
+        }
         let read_metrics = (0..partitions.len())
             .map(|pid| ReadMetrics {
-                reads: registry.counter(MetricKey::partition("partition_reads", pid)),
                 memtable: registry.counter(MetricKey::partition("read_source_memtable", pid)),
                 pm: registry.counter(MetricKey::partition("read_source_pm", pid)),
                 miss: registry.counter(MetricKey::partition("read_source_miss", pid)),
@@ -1026,7 +1029,7 @@ impl DbCore {
         };
         let maintenance = (opts.maintenance == MaintenanceMode::Background)
             .then(|| Arc::new(MaintenanceShared::new(opts.scheduler, queue_metrics)));
-        let ring = EventRing::new(opts.event_log_capacity);
+        let ring = Ring::new(opts.event_log_capacity);
         let tracer = Tracer::new(
             opts.trace_sample_every,
             opts.trace_slow_query_nanos,
@@ -1045,13 +1048,22 @@ impl DbCore {
             clock: AtomicU64::new(0),
             table_counter: AtomicU64::new(table_counter_start),
             cache_ids,
-            stats,
             wal,
             manifest,
             manifest_edits,
             wal_segments_deleted,
             value_bytes_sum: AtomicU64::new(0),
             value_count: AtomicU64::new(0),
+            user_bytes_written: counter("user_bytes_written"),
+            puts: counter("puts"),
+            deletes: counter("deletes"),
+            scans: counter("scans"),
+            batch_writes: counter("batch_writes"),
+            minor_compactions: counter("minor_compactions"),
+            internal_compactions: counter("internal_compactions"),
+            major_compactions: counter("major_compactions"),
+            internal_space_released: counter("internal_space_released"),
+            internal_dropped_records: counter("internal_dropped_records"),
             registry,
             ring,
             span_ids: AtomicU64::new(0),
@@ -1086,10 +1098,6 @@ impl DbCore {
         &self.opts
     }
 
-    pub fn stats(&self) -> &EngineStats {
-        &self.stats
-    }
-
     pub fn pm_pool(&self) -> &PmPool {
         &self.pool
     }
@@ -1102,41 +1110,6 @@ impl DbCore {
         &self.cache
     }
 
-    /// A point-in-time copy of the compaction log, derived from the
-    /// span ring. The ring is capped at
-    /// [`crate::options::Options::event_log_capacity`] events; when it
-    /// overflows, the *oldest* events are evicted (see
-    /// [`MetricsSnapshot::spans_dropped`] for the count), so this log is
-    /// a recent-history window, not a complete record.
-    pub fn compaction_log(&self) -> Vec<CompactionEvent> {
-        self.ring
-            .snapshot()
-            .into_iter()
-            .filter_map(|span| {
-                let kind = match span.kind {
-                    SpanKind::Flush => CompactionKind::Minor,
-                    SpanKind::Internal => CompactionKind::Internal,
-                    SpanKind::Major => CompactionKind::Major,
-                    // Group commits and request stages never reach the
-                    // compaction log.
-                    _ => return None,
-                };
-                let work = (kind == CompactionKind::Major).then_some(CompactionWork {
-                    input_bytes: span.input_bytes,
-                    output_bytes: span.output_bytes,
-                    records: span.input_records,
-                    value_size: span.value_size,
-                });
-                Some(CompactionEvent {
-                    kind,
-                    partition: span.partition,
-                    duration: span.duration(),
-                    work,
-                })
-            })
-            .collect()
-    }
-
     /// The engine's metrics registry (for custom instrumentation and
     /// ad-hoc queries; most callers want [`DbCore::metrics_snapshot`]).
     pub fn metrics(&self) -> &MetricsRegistry {
@@ -1144,9 +1117,14 @@ impl DbCore {
     }
 
     /// A consistent-enough point-in-time view of every engine metric:
-    /// counters, gauges (refreshed on the spot), latency histograms, and
-    /// the recent compaction/flush spans. Counters are sampled without a
-    /// global pause, so values may skew by in-flight operations, but
+    /// counters (plus the global totals summed from per-partition
+    /// counters), gauges (refreshed on the spot), latency histograms
+    /// (`read_latency`, `write_latency`, `scan_latency`, …), and the
+    /// recent compaction/flush spans. The span ring is capped at
+    /// [`Options::event_log_capacity`]; when it overflows, the *oldest*
+    /// spans are evicted and counted in
+    /// [`MetricsSnapshot::spans_dropped`]. Counters are sampled without
+    /// a global pause, so values may skew by in-flight operations, but
     /// each counter is individually monotonic across snapshots.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         // Refresh point-in-time gauges before collecting.
@@ -1175,6 +1153,7 @@ impl DbCore {
                 .set(p.levels.total_bytes() as i64);
         }
         let (mut counters, gauges, histograms) = self.registry.collect();
+        roll_up(&mut counters);
         // Device and cache counters live in their own crates; mirror
         // them into the snapshot (they are monotonic, so deltas work).
         counters.insert(MetricKey::global("block_cache_hits"), self.cache.hits.get());
@@ -1202,24 +1181,15 @@ impl DbCore {
             MetricKey::global("ssd_bytes_read"),
             self.device.stats().bytes_read.get(),
         );
+        let (spans, spans_dropped) = self.ring.snapshot_with_dropped();
         MetricsSnapshot::from_parts(
             self.clock.load(Ordering::Relaxed),
             counters,
             gauges,
             histograms,
-            self.ring.snapshot(),
-            self.ring.dropped(),
+            spans,
+            spans_dropped,
         )
-    }
-
-    /// Foreground latency histograms (reads / writes / scans), copied
-    /// out of the registry.
-    pub fn latency_stats(&self) -> LatencyStats {
-        LatencyStats {
-            reads: self.lat_reads.histogram(),
-            writes: self.lat_writes.histogram(),
-            scans: self.lat_scans.histogram(),
-        }
     }
 
     /// The request tracer (sampling state + slow-query flight recorder).
@@ -1292,7 +1262,7 @@ impl DbCore {
         WriteAmp {
             pm_bytes: self.pool.stats().bytes_written.get(),
             ssd_bytes: self.device.stats().bytes_written.get(),
-            user_bytes: self.stats.user_bytes_written.get(),
+            user_bytes: self.user_bytes_written.get(),
         }
     }
 
@@ -1558,7 +1528,7 @@ impl DbCore {
         if batch.is_empty() {
             return Ok(SimDuration::ZERO);
         }
-        self.stats.batch_writes.incr();
+        self.batch_writes.incr();
         // Split by partition, preserving op order within each.
         let mut per_pid: Vec<Vec<BatchOp>> =
             (0..self.partitions.len()).map(|_| Vec::new()).collect();
@@ -1829,18 +1799,19 @@ impl DbCore {
                 for op in &ticket.ops {
                     seq += 1;
                     let (key, value, kind) = match op {
-                        BatchOp::Put { key, value } => (key, value.as_slice(), KeyKind::Value),
+                        BatchOp::Put { key, value } => {
+                            self.puts.incr();
+                            (key, value.as_slice(), KeyKind::Value)
+                        }
                         BatchOp::Delete { key } => {
-                            self.stats.deletes.incr();
+                            self.deletes.incr();
                             (key, &b""[..], KeyKind::Delete)
                         }
                     };
                     p.note_write(key);
                     p.mem.insert(key, seq, kind, value, &mut tl);
-                    self.stats.puts.incr();
                     group_bytes += (key.len() + value.len()) as u64;
-                    self.stats
-                        .user_bytes_written
+                    self.user_bytes_written
                         .add((key.len() + value.len()) as u64);
                     if kind == KeyKind::Value {
                         self.value_bytes_sum
@@ -1854,8 +1825,6 @@ impl DbCore {
         let apply_nanos = tl.elapsed().as_nanos().saturating_sub(wal_nanos);
         // Publish: snapshots taken from here on see the whole group.
         self.visible_seq.fetch_max(max_seq, Ordering::AcqRel);
-        self.stats.group_commits.incr();
-        self.stats.grouped_writes.add(total_ops as u64);
         let committer = &self.committers[pid];
         committer.metrics.group_commits.incr();
         committer.metrics.grouped_writes.add(total_ops as u64);
@@ -2110,7 +2079,6 @@ impl DbCore {
                 return Err(e);
             }
         };
-        self.stats.note_read(source);
         self.note_read_source(pid, source, ssd_level);
         let latency = tl.elapsed();
         self.advance(latency);
@@ -2154,11 +2122,10 @@ impl DbCore {
     }
 
     /// Bump the per-partition (and, for SSD hits, per-level) read-source
-    /// counters. `level` is 0 for an SSD level-0 table hit, 1+ for the
+    /// counter. `level` is 0 for an SSD level-0 table hit, 1+ for the
     /// sorted levels.
     fn note_read_source(&self, pid: usize, source: ReadSource, level: Option<usize>) {
         let m = &self.read_metrics[pid];
-        m.reads.incr();
         match source {
             ReadSource::MemTable => m.memtable.incr(),
             ReadSource::Pm => m.pm.incr(),
@@ -2196,7 +2163,7 @@ impl DbCore {
     ) -> Result<ScanResult, DbError> {
         let mut tl = Timeline::new();
         let start_nanos = self.clock.load(Ordering::Relaxed);
-        self.stats.scans.incr();
+        self.scans.incr();
         let start = request.start.as_slice();
         let end = request.end.as_deref();
         let limit = request.limit;
@@ -2267,7 +2234,6 @@ impl DbCore {
     ) -> Vec<OwnedEntry> {
         let partition = self.partitions[pid].read();
         partition.counters.reads.incr();
-        self.read_metrics[pid].reads.incr();
         // Per-source limits count raw entries, but shadowed versions
         // and tombstones are dropped by the merge — so a truncated
         // source can starve the result. Over-fetch adaptively until
@@ -2382,7 +2348,7 @@ impl DbCore {
                     version.expect("set with report"),
                     Some((pid, report.durable_seq)),
                 )?;
-                self.stats.minor_compactions.incr();
+                self.minor_compactions.incr();
                 let d = tl.elapsed();
                 self.advance(d);
                 // Record which codec this flush encoded with (encoding
@@ -2621,12 +2587,10 @@ impl DbCore {
             for id in &report.retired_cache_ids {
                 self.group_cache.purge_table(*id);
             }
-            self.stats.internal_compactions.incr();
-            self.stats
-                .internal_space_released
+            self.internal_compactions.incr();
+            self.internal_space_released
                 .add(report.bytes_released as u64);
-            self.stats
-                .internal_dropped_records
+            self.internal_dropped_records
                 .add((report.records_before - report.records_after) as u64);
             let d = tl.elapsed();
             self.advance(d);
@@ -2752,7 +2716,7 @@ impl DbCore {
         for id in &report.retired_cache_ids {
             self.group_cache.purge_table(*id);
         }
-        self.stats.major_compactions.incr();
+        self.major_compactions.incr();
         let d = tl.elapsed();
         self.advance(d);
         let span = TraceSpan {
@@ -2802,7 +2766,7 @@ impl DbCore {
                 let p = lock.read();
                 RetentionCandidate {
                     partition: p.id,
-                    reads: p.counters.reads.get(),
+                    reads: p.counters.window_reads(),
                     bytes: p.pm_bytes(),
                 }
             })
@@ -2829,7 +2793,7 @@ impl DbCore {
                 .into_iter()
                 .map(|pid| {
                     let p = self.partitions[pid].read();
-                    let density = p.counters.reads.get() as f64 / p.pm_bytes().max(1) as f64;
+                    let density = p.counters.window_reads() as f64 / p.pm_bytes().max(1) as f64;
                     (pid, density)
                 })
                 .collect();
@@ -2910,7 +2874,7 @@ mod tests {
         let out = db.get(b"key00000050").unwrap();
         assert_eq!(out.source, ReadSource::Pm);
         assert!(out.value.is_some());
-        assert!(db.stats().minor_compactions.get() >= 1);
+        assert!(db.metrics_snapshot().counter("minor_compactions") >= 1);
     }
 
     #[test]
@@ -2970,9 +2934,10 @@ mod tests {
             db.get_at(b"b", after).unwrap().value.as_deref(),
             Some(&b"1"[..])
         );
-        assert_eq!(db.stats().batch_writes.get(), 1);
-        assert!(db.stats().group_commits.get() >= 1);
-        assert!(db.stats().grouped_writes.get() >= 3);
+        let snap = db.metrics_snapshot();
+        assert_eq!(snap.counter("batch_writes"), 1);
+        assert!(snap.counter("group_commits") >= 1);
+        assert!(snap.counter("grouped_writes") >= 3);
         // An empty batch is a no-op.
         assert_eq!(
             db.write_batch(WriteBatch::new()).unwrap(),
@@ -2987,9 +2952,10 @@ mod tests {
         let db = Db::open(opts).unwrap();
         // Enough data for multiple memtable freezes.
         fill(&db, 1500, 64, "x");
-        assert!(db.stats().minor_compactions.get() >= 3);
+        let snap = db.metrics_snapshot();
+        assert!(snap.counter("minor_compactions") >= 3);
         assert!(
-            db.stats().internal_compactions.get() >= 1,
+            snap.counter("internal_compactions") >= 1,
             "hard cap must force internal compaction"
         );
         // Everything still readable.
@@ -3007,7 +2973,7 @@ mod tests {
         let db = Db::open(opts).unwrap();
         fill(&db, 3000, 64, "y");
         assert!(
-            db.stats().major_compactions.get() >= 1,
+            db.metrics_snapshot().counter("major_compactions") >= 1,
             "PM pressure must force major compaction"
         );
         assert!(db.ssd().stats().bytes_written.get() > 0);
@@ -3151,17 +3117,17 @@ mod tests {
         opts.l0_unsorted_hard_cap = 2;
         let db = Db::open(opts).unwrap();
         fill(&db, 2000, 64, "c");
-        let kinds: std::collections::HashSet<_> =
-            db.compaction_log().iter().map(|e| e.kind).collect();
-        assert!(kinds.contains(&CompactionKind::Minor));
-        assert!(kinds.contains(&CompactionKind::Internal));
-        assert!(kinds.contains(&CompactionKind::Major));
-        // Major events carry work descriptions.
-        assert!(db
-            .compaction_log()
+        let spans = db.metrics_snapshot().spans;
+        let kinds: std::collections::HashSet<_> = spans.iter().map(|s| s.kind).collect();
+        assert!(kinds.contains(&SpanKind::Flush));
+        assert!(kinds.contains(&SpanKind::Internal));
+        assert!(kinds.contains(&SpanKind::Major));
+        // Only compactions reach the ring, and majors carry their work.
+        assert_eq!(kinds.len(), 3, "{kinds:?}");
+        assert!(spans
             .iter()
-            .filter(|e| e.kind == CompactionKind::Major)
-            .all(|e| e.work.is_some()));
+            .filter(|s| s.kind == SpanKind::Major)
+            .all(|s| s.input_records > 0 && s.input_bytes > 0));
     }
 
     #[test]
@@ -3171,9 +3137,12 @@ mod tests {
         let db = Db::open(opts).unwrap();
         fill(&db, 1500, 64, "r");
         db.compact(CompactionRequest::FlushAll).unwrap();
-        let log = db.compaction_log();
-        assert!(log.len() <= 4, "ring must cap the log: {}", log.len());
         let snap = db.metrics_snapshot();
+        assert!(
+            snap.spans.len() <= 4,
+            "ring must cap the log: {}",
+            snap.spans.len()
+        );
         assert!(snap.spans_dropped > 0, "older events were evicted");
     }
 
@@ -3195,16 +3164,33 @@ mod tests {
                 .limit(50),
         )
         .unwrap();
+        for i in 0..10 {
+            db.delete(format!("key{:08}", i).as_bytes()).unwrap();
+        }
         let snap = db.metrics_snapshot();
-        // Global counters absorbed from EngineStats.
+        // Foreground op counters; deletes are not puts.
         assert_eq!(snap.counter("puts"), 2000);
-        assert!(snap.counter("gets") > 0);
+        assert_eq!(snap.counter("deletes"), 10);
+        assert_eq!(snap.counter("gets"), 286);
         assert_eq!(snap.counter("scans"), 1);
-        // Per-partition group-commit counters.
-        assert!(snap.counter_at(&MetricKey::partition("group_commits", 0)) > 0);
-        // Read-source split, keyed by partition.
+        // One group per single-op write, counted once: the global total
+        // is the sum of the per-partition counters.
+        assert_eq!(snap.counter("group_commits"), 2010);
+        assert_eq!(
+            snap.counter_at(&MetricKey::partition("partition_group_commits", 0)),
+            2010
+        );
+        assert_eq!(snap.counter("grouped_writes"), 2010);
+        // Read-source split, keyed by partition, sums to `gets`.
+        assert_eq!(
+            snap.counter("reads_from_memtable")
+                + snap.counter("reads_from_pm")
+                + snap.counter("reads_from_ssd")
+                + snap.counter("read_misses"),
+            286
+        );
         assert!(
-            snap.counter("partition_reads") >= snap.counter("gets"),
+            snap.counter("partition_reads") > snap.counter("gets"),
             "scans also count partition touches"
         );
         // Device counters are mirrored in.
@@ -3213,7 +3199,7 @@ mod tests {
         let reads = &snap.histograms[&MetricKey::global("read_latency")];
         assert!(reads.count > 0 && reads.p50_nanos > 0);
         let writes = &snap.histograms[&MetricKey::global("write_latency")];
-        assert_eq!(writes.count, 2000);
+        assert_eq!(writes.count, 2010);
         // At least one complete compaction span with virtual timing.
         assert!(!snap.spans.is_empty());
         assert!(snap.spans.iter().all(|s| s.end_nanos >= s.start_nanos));
@@ -3232,11 +3218,12 @@ mod tests {
         db.put(b"k", b"v").unwrap();
         db.get(b"k").unwrap();
         db.scan(ScanRequest::new().start("a").limit(10)).unwrap();
-        let lat = db.latency_stats();
-        assert_eq!(lat.writes.count(), 1);
-        assert_eq!(lat.reads.count(), 1);
-        assert_eq!(lat.scans.count(), 1);
-        assert!(lat.reads.quantile(0.5) > 0);
+        let snap = db.metrics_snapshot();
+        let lat = |name| snap.histograms[&MetricKey::global(name)];
+        assert_eq!(lat("write_latency").count, 1);
+        assert_eq!(lat("read_latency").count, 1);
+        assert_eq!(lat("scan_latency").count, 1);
+        assert!(lat("read_latency").p50_nanos > 0);
     }
 
     #[test]
@@ -3249,7 +3236,47 @@ mod tests {
             db.get(k.as_bytes()).unwrap();
         }
         // Nothing was major-compacted: everything served from PM.
-        assert!(db.stats().pm_hit_ratio() > 0.99);
+        assert!(db.metrics_snapshot().pm_hit_ratio() > 0.99);
+    }
+
+    #[test]
+    fn each_read_and_group_commit_bumps_exactly_two_counters() {
+        let db = Db::open(small_opts(Mode::PmBlade)).unwrap();
+        db.put(b"k", b"v").unwrap();
+        // The raw registry, before the snapshot adds its global totals.
+        let moved = |op: &dyn Fn()| {
+            let (before, _, _) = db.metrics().collect();
+            op();
+            let (after, _, _) = db.metrics().collect();
+            let mut names: Vec<String> = after
+                .iter()
+                .filter(|(k, v)| before.get(k) != Some(v))
+                .map(|(k, _)| k.to_string())
+                .collect();
+            names.sort();
+            names
+        };
+        let get = moved(&|| {
+            db.get(b"k").unwrap();
+        });
+        assert_eq!(
+            get,
+            [
+                "partition_reads{partition=\"0\"}",
+                "read_source_memtable{partition=\"0\"}"
+            ]
+        );
+        let put = moved(&|| {
+            db.put(b"k", b"w").unwrap();
+        });
+        let commit: Vec<&String> = put.iter().filter(|n| n.contains("group")).collect();
+        assert_eq!(
+            commit,
+            [
+                "partition_group_commits{partition=\"0\"}",
+                "partition_grouped_writes{partition=\"0\"}"
+            ]
+        );
     }
 
     #[test]
@@ -3262,15 +3289,16 @@ mod tests {
         db.close();
         // close() drained every queued flush/compaction.
         assert_eq!(db.core().maintenance.as_ref().unwrap().queue_depth(), 0);
-        assert!(db.stats().minor_compactions.get() >= 1);
+        let minors = || db.metrics_snapshot().counter("minor_compactions");
+        assert!(minors() >= 1);
         for i in (0..1500).step_by(173) {
             let k = format!("key{:08}", i);
             assert!(db.get(k.as_bytes()).unwrap().value.is_some(), "lost {k}");
         }
         // Post-close the engine stays usable: triggers fall back inline.
-        let minors_at_close = db.stats().minor_compactions.get();
+        let minors_at_close = minors();
         fill(&db, 600, 64, "after");
-        assert!(db.stats().minor_compactions.get() > minors_at_close);
+        assert!(minors() > minors_at_close);
         assert!(db.get(b"key00000001").unwrap().value.is_some());
         // Idempotent.
         db.close();
@@ -3306,6 +3334,6 @@ mod tests {
                 assert!(db.get(k.as_bytes()).unwrap().value.is_some(), "lost {k}");
             }
         }
-        assert_eq!(db.stats().puts.get(), 800);
+        assert_eq!(db.metrics_snapshot().counter("puts"), 800);
     }
 }

@@ -40,19 +40,16 @@ pub mod stats;
 pub mod telemetry;
 
 pub use commit::{BatchOp, WriteBatch};
-pub use engine::{
-    CompactionEvent, CompactionKind, CompactionRequest, Db, DbCore, DbError, ReadOutcome,
-    ScanRequest, WriteAmp,
-};
+pub use engine::{CompactionRequest, Db, DbCore, DbError, ReadOutcome, ScanRequest, WriteAmp};
 pub use groupcache::PmGroupCache;
 pub use level0::PmL0Snapshot;
 pub use options::{MaintenanceMode, Mode, Options, OptionsBuilder, Partitioner};
 pub use protocol::{Request, Response, WireError};
 pub use relational::{Relational, TableDef};
-pub use stats::{EngineStats, LatencyStats, ReadSource};
+pub use stats::ReadSource;
 pub use telemetry::{
-    chrome_trace_json, CostDecision, EventListener, FlightRecorder, HistogramSummary, ListenerSet,
-    MetricKey, MetricsRegistry, MetricsSnapshot, RequestTrace, SpanKind, TraceContext, TraceOp,
+    chrome_trace_json, CostDecision, EventListener, HistogramSummary, ListenerSet, MetricKey,
+    MetricsRegistry, MetricsSnapshot, RequestTrace, Ring, SpanKind, TraceContext, TraceOp,
     TraceSpan, Tracer,
 };
 

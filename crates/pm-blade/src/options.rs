@@ -196,7 +196,7 @@ pub struct Options {
     /// chosen write/sync boundary.
     pub fault_plan: Option<std::sync::Arc<sim::FaultPlan>>,
     /// Capacity of the compaction-span ring buffer behind
-    /// `Db::compaction_log()` and `MetricsSnapshot::spans`. When full,
+    /// `MetricsSnapshot::spans`. When full,
     /// the *oldest* spans are evicted (and counted as dropped in
     /// snapshots). Must be at least 1.
     pub event_log_capacity: usize,

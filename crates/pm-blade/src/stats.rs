@@ -1,20 +1,17 @@
-//! Engine-wide statistics.
+//! Where reads are served from, and the engine-global totals a
+//! snapshot derives from per-partition counters.
 //!
-//! Byte counters are exact (they drive the write-amplification
-//! experiments); latency distributions are virtual-clock durations.
-//!
-//! Since the observability layer landed, `EngineStats` is a *view*
-//! over counters owned jointly with the
-//! [`MetricsRegistry`](crate::telemetry::MetricsRegistry): each field
-//! is an `Arc<Counter>` that [`EngineStats::register`] also files
-//! under its field name, so `db.stats()` and `db.metrics_snapshot()`
-//! always agree.
+//! The [`MetricsRegistry`](crate::telemetry::MetricsRegistry) is the
+//! engine's only counter store, and each event is counted once, at its
+//! finest label: a successful `get` bumps `partition_reads{p}` and one
+//! `read_source_*{p}`, a group commit bumps `partition_group_commits{p}`
+//! and `partition_grouped_writes{p}`. The global series callers know
+//! (`gets`, `reads_from_*`, `read_misses`, `group_commits`,
+//! `grouped_writes`) exist only in snapshots, summed by [`roll_up`].
 
-use std::sync::Arc;
+use std::collections::BTreeMap;
 
-use sim::{Counter, Histogram};
-
-use crate::telemetry::{MetricKey, MetricsRegistry};
+use crate::telemetry::MetricKey;
 
 /// Where a read was ultimately served from.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -29,142 +26,82 @@ pub enum ReadSource {
     Miss,
 }
 
-/// Aggregate engine statistics.
-#[derive(Default, Debug)]
-pub struct EngineStats {
-    /// User payload bytes accepted by `put`/`delete` (the denominator of
-    /// write amplification).
-    pub user_bytes_written: Arc<Counter>,
-    /// Foreground operations.
-    pub puts: Arc<Counter>,
-    pub gets: Arc<Counter>,
-    pub deletes: Arc<Counter>,
-    pub scans: Arc<Counter>,
-    /// Reads by serving tier.
-    pub reads_from_memtable: Arc<Counter>,
-    pub reads_from_pm: Arc<Counter>,
-    pub reads_from_ssd: Arc<Counter>,
-    pub read_misses: Arc<Counter>,
-    /// Compaction activity.
-    pub minor_compactions: Arc<Counter>,
-    pub internal_compactions: Arc<Counter>,
-    pub major_compactions: Arc<Counter>,
-    /// Bytes reclaimed on PM by internal compaction (Table IV).
-    pub internal_space_released: Arc<Counter>,
-    /// Records dropped as duplicates by internal compaction.
-    pub internal_dropped_records: Arc<Counter>,
-    /// Group-commit activity: commit groups flushed by a leader, total
-    /// write operations that rode in those groups, and `WriteBatch`
-    /// submissions (a batch of N ops counts once here, N times in
-    /// `grouped_writes`).
-    pub group_commits: Arc<Counter>,
-    pub grouped_writes: Arc<Counter>,
-    pub batch_writes: Arc<Counter>,
-}
+/// Per-partition counter name → the global total summed from it. The
+/// read sources together also sum to `gets`.
+const ROLLUPS: [(&str, &str); 6] = [
+    ("read_source_memtable", "reads_from_memtable"),
+    ("read_source_pm", "reads_from_pm"),
+    ("read_source_ssd", "reads_from_ssd"),
+    ("read_source_miss", "read_misses"),
+    ("partition_group_commits", "group_commits"),
+    ("partition_grouped_writes", "grouped_writes"),
+];
 
-impl EngineStats {
-    /// File every counter into `registry` under its field name, so the
-    /// flat stats view and the registry read the same atomics.
-    pub fn register(&self, registry: &MetricsRegistry) {
-        let fields: [(&'static str, &Arc<Counter>); 17] = [
-            ("user_bytes_written", &self.user_bytes_written),
-            ("puts", &self.puts),
-            ("gets", &self.gets),
-            ("deletes", &self.deletes),
-            ("scans", &self.scans),
-            ("reads_from_memtable", &self.reads_from_memtable),
-            ("reads_from_pm", &self.reads_from_pm),
-            ("reads_from_ssd", &self.reads_from_ssd),
-            ("read_misses", &self.read_misses),
-            ("minor_compactions", &self.minor_compactions),
-            ("internal_compactions", &self.internal_compactions),
-            ("major_compactions", &self.major_compactions),
-            ("internal_space_released", &self.internal_space_released),
-            ("internal_dropped_records", &self.internal_dropped_records),
-            ("group_commits", &self.group_commits),
-            ("grouped_writes", &self.grouped_writes),
-            ("batch_writes", &self.batch_writes),
-        ];
-        for (name, counter) in fields {
-            registry.register_counter(MetricKey::global(name), Arc::clone(counter));
+/// Add the global totals (see the module docs) to `counters`; every
+/// total is present, at zero if nothing was counted.
+pub(crate) fn roll_up(counters: &mut BTreeMap<MetricKey, u64>) {
+    let mut gets = 0;
+    for (part, global) in ROLLUPS {
+        let total: u64 = counters
+            .iter()
+            .filter(|(k, _)| k.name == part)
+            .map(|(_, v)| v)
+            .sum();
+        if part.starts_with("read_source_") {
+            gets += total;
         }
+        counters.insert(MetricKey::global(global), total);
     }
-
-    /// Record a read outcome.
-    pub fn note_read(&self, source: ReadSource) {
-        self.gets.incr();
-        match source {
-            ReadSource::MemTable => self.reads_from_memtable.incr(),
-            ReadSource::Pm => self.reads_from_pm.incr(),
-            ReadSource::Ssd => self.reads_from_ssd.incr(),
-            ReadSource::Miss => self.read_misses.incr(),
-        }
-    }
-
-    /// Fraction of successful reads served without touching the SSD
-    /// (memtable + PM) — the paper's "proportion of reads hitting PM".
-    pub fn pm_hit_ratio(&self) -> f64 {
-        let fast = self.reads_from_memtable.get() + self.reads_from_pm.get();
-        let total = fast + self.reads_from_ssd.get();
-        if total == 0 {
-            0.0
-        } else {
-            fast as f64 / total as f64
-        }
-    }
-}
-
-/// Foreground latency distributions (virtual-clock durations).
-///
-/// The engine records every `get`/`get_at`, `put`/`delete`/
-/// `write_batch`, and `scan` into the registry's `read_latency`,
-/// `write_latency`, and `scan_latency` histograms;
-/// `Db::latency_stats()` returns them as this plain-`Histogram` view
-/// for callers that want quantiles without walking a snapshot.
-#[derive(Default, Debug, Clone)]
-pub struct LatencyStats {
-    pub reads: Histogram,
-    pub writes: Histogram,
-    pub scans: Histogram,
+    counters.insert(MetricKey::global("gets"), gets);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::telemetry::MetricsSnapshot;
+
+    fn snapshot(mut counters: BTreeMap<MetricKey, u64>) -> MetricsSnapshot {
+        roll_up(&mut counters);
+        MetricsSnapshot::from_parts(0, counters, BTreeMap::new(), BTreeMap::new(), Vec::new(), 0)
+    }
 
     #[test]
     fn read_accounting_routes_by_source() {
-        let s = EngineStats::default();
-        s.note_read(ReadSource::MemTable);
-        s.note_read(ReadSource::Pm);
-        s.note_read(ReadSource::Pm);
-        s.note_read(ReadSource::Ssd);
-        s.note_read(ReadSource::Miss);
-        assert_eq!(s.gets.get(), 5);
-        assert_eq!(s.reads_from_memtable.get(), 1);
-        assert_eq!(s.reads_from_pm.get(), 2);
-        assert_eq!(s.reads_from_ssd.get(), 1);
-        assert_eq!(s.read_misses.get(), 1);
+        let counters = BTreeMap::from([
+            (MetricKey::partition("read_source_memtable", 0), 1),
+            (MetricKey::partition("read_source_pm", 0), 1),
+            (MetricKey::partition("read_source_pm", 1), 1),
+            (MetricKey::level("read_source_ssd", 1, 2), 1),
+            (MetricKey::partition("read_source_miss", 0), 1),
+        ]);
+        let s = snapshot(counters);
+        assert_eq!(s.counter("gets"), 5);
+        assert_eq!(s.counter("reads_from_memtable"), 1);
+        assert_eq!(s.counter("reads_from_pm"), 2);
+        assert_eq!(s.counter("reads_from_ssd"), 1);
+        assert_eq!(s.counter("read_misses"), 1);
         // 3 of 4 located reads avoided the SSD.
         assert!((s.pm_hit_ratio() - 0.75).abs() < 1e-9);
     }
 
     #[test]
     fn empty_stats_ratio_is_zero() {
-        let s = EngineStats::default();
+        let s = snapshot(BTreeMap::new());
         assert_eq!(s.pm_hit_ratio(), 0.0);
+        assert_eq!(s.counter("gets"), 0);
+        assert!(s.counters.contains_key(&MetricKey::global("group_commits")));
     }
 
     #[test]
-    fn registered_stats_share_the_registry_counters() {
-        let s = EngineStats::default();
-        let registry = MetricsRegistry::new();
-        s.register(&registry);
-        s.puts.add(3);
-        registry.counter(MetricKey::global("puts")).incr();
-        assert_eq!(s.puts.get(), 4);
-        let (counters, _, _) = registry.collect();
-        assert_eq!(counters[&MetricKey::global("puts")], 4);
-        assert_eq!(counters.len(), 17, "every field is registered");
+    fn group_commits_roll_up_once() {
+        let counters = BTreeMap::from([
+            (MetricKey::partition("partition_group_commits", 0), 4),
+            (MetricKey::partition("partition_group_commits", 1), 6),
+            (MetricKey::partition("partition_grouped_writes", 0), 9),
+            (MetricKey::partition("partition_grouped_writes", 1), 11),
+        ]);
+        let s = snapshot(counters);
+        assert_eq!(s.counter("group_commits"), 10);
+        assert_eq!(s.counter("grouped_writes"), 20);
     }
 }

@@ -22,10 +22,11 @@
 //!   by `Db::metrics_snapshot()`, with [`MetricsSnapshot::delta`]
 //!   support and three renderers (table, JSON, Prometheus text).
 //!
-//! Compaction spans are additionally retained in an [`EventRing`] — a
-//! ring buffer capped at `Options::event_log_capacity` — which backs
-//! the engine's `compaction_log()` accessor; when full, the oldest
-//! spans are evicted and counted in `MetricsSnapshot::spans_dropped`.
+//! Compaction spans are additionally retained in a [`Ring`] capped at
+//! `Options::event_log_capacity`, which backs `MetricsSnapshot::spans`;
+//! when full, the oldest spans are evicted and counted in
+//! `MetricsSnapshot::spans_dropped`. The tracer's slow-query flight
+//! recorder is the same `Ring`, holding request traces.
 
 pub mod listener;
 pub mod registry;
@@ -36,9 +37,7 @@ pub mod trace;
 
 pub use listener::{EventListener, ListenerSet};
 pub use registry::{Gauge, LatencyRecorder, MetricKey, MetricsRegistry};
-pub use ring::EventRing;
+pub use ring::Ring;
 pub use snapshot::{HistogramSummary, MetricsSnapshot};
 pub use span::{CostDecision, SpanKind, TraceSpan};
-pub use trace::{
-    chrome_trace_json, FlightRecorder, RequestTrace, StageTrace, TraceContext, TraceOp, Tracer,
-};
+pub use trace::{chrome_trace_json, RequestTrace, StageTrace, TraceContext, TraceOp, Tracer};

@@ -185,8 +185,9 @@ impl MetricsRegistry {
         )
     }
 
-    /// Register an externally-owned counter under `key` (used to absorb
-    /// the `EngineStats` counters). Replaces any previous registration.
+    /// Register an externally-owned counter under `key` (the group
+    /// cache's counters, each partition's Eq 1 read count). Replaces any
+    /// previous registration.
     pub fn register_counter(&self, key: MetricKey, counter: Arc<Counter>) {
         self.counters.write().insert(key, counter);
     }

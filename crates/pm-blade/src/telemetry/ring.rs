@@ -1,34 +1,31 @@
-//! The capped span ring backing `Db::compaction_log()`.
+//! The one capped, drop-counting ring: it holds the engine's recent
+//! compaction spans (`MetricsSnapshot::spans`) and the tracer's
+//! slow-query flight recorder.
 
 use std::collections::VecDeque;
 
 use parking_lot::Mutex;
 
-use super::span::TraceSpan;
-
-/// A fixed-capacity ring of completed compaction spans.
+/// A fixed-capacity ring of recent items.
 ///
-/// When full, pushing evicts the *oldest* span; evictions are counted
-/// so snapshots can report how much history was lost. Group-commit
-/// spans are deliberately kept out of the ring (they would evict the
-/// much rarer compaction spans within seconds on a write-heavy
-/// workload) — they reach listeners and the metrics registry instead.
-pub struct EventRing {
-    inner: Mutex<Inner>,
+/// When full, pushing evicts the *oldest* item; evictions are counted
+/// so readers can report how much history was lost.
+pub struct Ring<T> {
+    inner: Mutex<Inner<T>>,
 }
 
-struct Inner {
-    buf: VecDeque<TraceSpan>,
+struct Inner<T> {
+    buf: VecDeque<T>,
     capacity: usize,
     dropped: u64,
 }
 
-impl EventRing {
+impl<T: Clone> Ring<T> {
     /// `capacity` must be at least 1 (enforced by
     /// `OptionsBuilder::build`; a raw `Options` with 0 gets 1).
     pub fn new(capacity: usize) -> Self {
         let capacity = capacity.max(1);
-        EventRing {
+        Ring {
             inner: Mutex::new(Inner {
                 buf: VecDeque::with_capacity(capacity.min(1024)),
                 capacity,
@@ -37,42 +34,37 @@ impl EventRing {
         }
     }
 
-    pub fn push(&self, span: TraceSpan) {
+    pub fn push(&self, item: T) {
         let mut inner = self.inner.lock();
         if inner.buf.len() >= inner.capacity {
             inner.buf.pop_front();
             inner.dropped += 1;
         }
-        inner.buf.push_back(span);
+        inner.buf.push_back(item);
     }
 
-    /// Oldest-to-newest copy of the retained spans.
-    pub fn snapshot(&self) -> Vec<TraceSpan> {
-        self.inner.lock().buf.iter().cloned().collect()
+    /// Oldest-to-newest copy of the retained items, plus the number
+    /// evicted so far, read under one lock.
+    pub fn snapshot_with_dropped(&self) -> (Vec<T>, u64) {
+        let inner = self.inner.lock();
+        (inner.buf.iter().cloned().collect(), inner.dropped)
     }
 
-    /// Spans evicted so far.
+    /// Oldest-to-newest copy of the retained items.
+    pub fn snapshot(&self) -> Vec<T> {
+        self.snapshot_with_dropped().0
+    }
+
+    /// Items evicted so far.
     pub fn dropped(&self) -> u64 {
         self.inner.lock().dropped
     }
-
-    pub fn capacity(&self) -> usize {
-        self.inner.lock().capacity
-    }
-
-    pub fn len(&self) -> usize {
-        self.inner.lock().buf.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.inner.lock().buf.is_empty()
-    }
 }
 
-impl std::fmt::Debug for EventRing {
+impl<T> std::fmt::Debug for Ring<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let inner = self.inner.lock();
-        f.debug_struct("EventRing")
+        f.debug_struct("Ring")
             .field("len", &inner.buf.len())
             .field("capacity", &inner.capacity)
             .field("dropped", &inner.dropped)
@@ -83,45 +75,23 @@ impl std::fmt::Debug for EventRing {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::telemetry::span::SpanKind;
-
-    fn span(id: u64) -> TraceSpan {
-        TraceSpan {
-            id,
-            trace_id: 0,
-            kind: SpanKind::Flush,
-            partition: 0,
-            start_nanos: id,
-            end_nanos: id + 1,
-            input_records: 0,
-            output_records: 0,
-            input_bytes: 0,
-            output_bytes: 0,
-            value_size: 0,
-            cost: None,
-        }
-    }
 
     #[test]
     fn ring_evicts_oldest_and_counts_drops() {
-        let ring = EventRing::new(3);
-        for id in 0..5 {
-            ring.push(span(id));
+        let ring = Ring::new(3);
+        for id in 0..5u64 {
+            ring.push(id);
         }
-        let ids: Vec<u64> = ring.snapshot().iter().map(|s| s.id).collect();
-        assert_eq!(ids, vec![2, 3, 4]);
+        assert_eq!(ring.snapshot(), vec![2, 3, 4]);
         assert_eq!(ring.dropped(), 2);
-        assert_eq!(ring.len(), 3);
-        assert_eq!(ring.capacity(), 3);
+        assert_eq!(ring.snapshot_with_dropped(), (vec![2, 3, 4], 2));
     }
 
     #[test]
     fn zero_capacity_is_clamped_to_one() {
-        let ring = EventRing::new(0);
-        ring.push(span(1));
-        ring.push(span(2));
-        assert_eq!(ring.capacity(), 1);
-        assert_eq!(ring.snapshot().len(), 1);
-        assert_eq!(ring.snapshot()[0].id, 2);
+        let ring = Ring::new(0);
+        ring.push(1u64);
+        ring.push(2u64);
+        assert_eq!(ring.snapshot_with_dropped(), (vec![2], 1));
     }
 }

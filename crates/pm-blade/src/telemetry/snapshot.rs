@@ -93,6 +93,18 @@ impl MetricsSnapshot {
         self.counters.get(key).copied().unwrap_or(0)
     }
 
+    /// Fraction of located reads served without touching the SSD
+    /// (memtable + PM): the paper's "proportion of reads hitting PM".
+    pub fn pm_hit_ratio(&self) -> f64 {
+        let fast = self.counter("reads_from_memtable") + self.counter("reads_from_pm");
+        let total = fast + self.counter("reads_from_ssd");
+        if total == 0 {
+            0.0
+        } else {
+            fast as f64 / total as f64
+        }
+    }
+
     /// Change since `earlier` (which must be an earlier snapshot of the
     /// same engine): counters are subtracted (saturating, so a metric
     /// registered between the two snapshots shows its full value),
@@ -476,7 +488,7 @@ mod tests {
     fn sample() -> MetricsSnapshot {
         let mut counters = BTreeMap::new();
         counters.insert(MetricKey::global("puts"), 10);
-        counters.insert(MetricKey::partition("group_commits", 0), 4);
+        counters.insert(MetricKey::partition("partition_group_commits", 0), 4);
         let mut gauges = BTreeMap::new();
         gauges.insert(MetricKey::global("pm_used_bytes"), 4096);
         let mut histograms = BTreeMap::new();
@@ -510,10 +522,10 @@ mod tests {
     fn counter_lookup_sums_across_labels() {
         let mut snap = sample();
         snap.counters
-            .insert(MetricKey::partition("group_commits", 1), 6);
-        assert_eq!(snap.counter("group_commits"), 10);
+            .insert(MetricKey::partition("partition_group_commits", 1), 6);
+        assert_eq!(snap.counter("partition_group_commits"), 10);
         assert_eq!(
-            snap.counter_at(&MetricKey::partition("group_commits", 0)),
+            snap.counter_at(&MetricKey::partition("partition_group_commits", 0)),
             4
         );
         assert_eq!(snap.counter("missing"), 0);
@@ -531,7 +543,10 @@ mod tests {
         later.spans_dropped = 5;
         let d = later.delta(&earlier);
         assert_eq!(d.counter_at(&MetricKey::global("puts")), 15);
-        assert_eq!(d.counter_at(&MetricKey::partition("group_commits", 0)), 0);
+        assert_eq!(
+            d.counter_at(&MetricKey::partition("partition_group_commits", 0)),
+            0
+        );
         assert_eq!(d.spans.len(), 1);
         assert_eq!(d.spans[0].id, 9);
         assert_eq!(d.spans_dropped, 3);
@@ -559,7 +574,7 @@ mod tests {
             "-- gauges --",
             "-- latency",
             "-- spans (1 retained, 2 evicted) --",
-            "group_commits{partition=\"0\"}",
+            "partition_group_commits{partition=\"0\"}",
             "eq3_retention",
         ] {
             assert!(table.contains(needle), "missing {needle}:\n{table}");
@@ -571,7 +586,7 @@ mod tests {
         let text = sample().to_prometheus();
         assert!(text.contains("# TYPE pmblade_puts counter"));
         assert!(text.contains("pmblade_puts 10"));
-        assert!(text.contains("pmblade_group_commits{partition=\"0\"} 4"));
+        assert!(text.contains("pmblade_partition_group_commits{partition=\"0\"} 4"));
         assert!(text.contains("# TYPE pmblade_read_latency summary"));
         assert!(text.contains("pmblade_read_latency{quantile=\"0.5\"}"));
         assert!(text.contains("pmblade_read_latency_sum 400"));

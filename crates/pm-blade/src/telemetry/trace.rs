@@ -8,8 +8,8 @@
 //! engine logs line up. Sampled requests accumulate *stage* spans —
 //! plain [`TraceSpan`]s with request-stage [`SpanKind`]s and the trace
 //! id set — into a [`RequestTrace`], which the [`Tracer`] files into a
-//! capped [`FlightRecorder`] ring when the request's total latency
-//! meets the slow-query threshold (threshold 0 keeps every sampled
+//! capped [`Ring`] (the flight recorder) when the request's total
+//! latency meets the slow-query threshold (threshold 0 keeps every sampled
 //! request).
 //!
 //! All durations are on the engine's virtual clock. Tracing only ever
@@ -17,14 +17,13 @@
 //! charges it, so enabling or disabling sampling cannot move a single
 //! virtual latency.
 
-use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
 use sim::Counter;
 
+use super::ring::Ring;
 use super::span::{SpanKind, TraceSpan};
 
 /// Per-request trace identity, carried client → server → engine.
@@ -218,69 +217,11 @@ impl StageTrace {
     }
 }
 
-/// A fixed-capacity ring of recently recorded [`RequestTrace`]s.
-///
-/// Same semantics as the compaction-span [`super::EventRing`]: pushing
-/// into a full ring evicts the oldest trace and counts the drop.
-pub struct FlightRecorder {
-    inner: Mutex<FlightInner>,
-}
-
-struct FlightInner {
-    buf: VecDeque<RequestTrace>,
-    capacity: usize,
-    dropped: u64,
-}
-
-impl FlightRecorder {
-    pub fn new(capacity: usize) -> Self {
-        let capacity = capacity.max(1);
-        FlightRecorder {
-            inner: Mutex::new(FlightInner {
-                buf: VecDeque::with_capacity(capacity.min(1024)),
-                capacity,
-                dropped: 0,
-            }),
-        }
-    }
-
-    pub fn push(&self, trace: RequestTrace) {
-        let mut inner = self.inner.lock();
-        if inner.buf.len() >= inner.capacity {
-            inner.buf.pop_front();
-            inner.dropped += 1;
-        }
-        inner.buf.push_back(trace);
-    }
-
-    /// Oldest-to-newest copy of the retained traces.
-    pub fn snapshot(&self) -> Vec<RequestTrace> {
-        self.inner.lock().buf.iter().cloned().collect()
-    }
-
-    /// Traces evicted so far.
-    pub fn dropped(&self) -> u64 {
-        self.inner.lock().dropped
-    }
-
-    pub fn capacity(&self) -> usize {
-        self.inner.lock().capacity
-    }
-
-    pub fn len(&self) -> usize {
-        self.inner.lock().buf.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.inner.lock().buf.is_empty()
-    }
-
+/// The slow-query flight recorder is a [`Ring`] of recent traces.
+impl Ring<RequestTrace> {
     /// `{"dropped": N, "traces": [...]}` for the `/debug` endpoint.
     pub fn to_json(&self) -> String {
-        let (traces, dropped) = {
-            let inner = self.inner.lock();
-            (inner.buf.iter().cloned().collect::<Vec<_>>(), inner.dropped)
-        };
+        let (traces, dropped) = self.snapshot_with_dropped();
         let mut out = String::with_capacity(64 + traces.len() * 256);
         let _ = write!(out, "{{\"dropped\": {dropped}, \"traces\": [");
         for (i, t) in traces.iter().enumerate() {
@@ -291,17 +232,6 @@ impl FlightRecorder {
         }
         out.push_str("]}");
         out
-    }
-}
-
-impl std::fmt::Debug for FlightRecorder {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let inner = self.inner.lock();
-        f.debug_struct("FlightRecorder")
-            .field("len", &inner.buf.len())
-            .field("capacity", &inner.capacity)
-            .field("dropped", &inner.dropped)
-            .finish()
     }
 }
 
@@ -319,7 +249,7 @@ pub struct Tracer {
     slow_nanos: u64,
     ops: AtomicU64,
     ids: AtomicU64,
-    recorder: FlightRecorder,
+    recorder: Ring<RequestTrace>,
     /// Requests that recorded a stage breakdown (engine-sampled or
     /// wire-adopted).
     pub sampled_total: Arc<Counter>,
@@ -341,7 +271,7 @@ impl Tracer {
             slow_nanos,
             ops: AtomicU64::new(0),
             ids: AtomicU64::new(0),
-            recorder: FlightRecorder::new(recorder_capacity),
+            recorder: Ring::new(recorder_capacity),
             sampled_total,
             recorded_total,
         }
@@ -383,7 +313,7 @@ impl Tracer {
         }
     }
 
-    pub fn recorder(&self) -> &FlightRecorder {
+    pub fn recorder(&self) -> &Ring<RequestTrace> {
         &self.recorder
     }
 }
@@ -494,7 +424,7 @@ mod tests {
 
     #[test]
     fn recorder_ring_evicts_oldest() {
-        let r = FlightRecorder::new(2);
+        let r = Ring::new(2);
         for id in 1..=4 {
             r.push(StageTrace::new(TraceContext::sampled(id), TraceOp::Write, 0, 0).finish(1));
         }

@@ -977,6 +977,28 @@ impl<S: Storage> PmTable<S> {
         }
     }
 
+    /// The earliest group of meta row `row` that can hold `rest` (the
+    /// meta-stripped probe key), shared by `get` and `scan_range`.
+    ///
+    /// Fixed-width leaders can tie across groups, and the versions of
+    /// one key can straddle a group boundary — internal-key order
+    /// stores the newest sequence *first*, so newer versions live in
+    /// earlier groups. So after the leader binary search, step back
+    /// while the group's full first key is >= the probe: the match, or
+    /// a newer version of it, may live in an earlier group.
+    fn first_candidate_group(&self, rest: &[u8], row: &MetaRow, tl: &mut Timeline) -> u32 {
+        let mut group =
+            self.locate_group(rest, row.first_group, row.first_group + row.group_count, tl);
+        while group > row.first_group {
+            self.storage.meter_random(32, tl);
+            match self.group_first_rest(group) {
+                Some(first) if first.as_slice() >= rest => group -= 1,
+                _ => break,
+            }
+        }
+        group
+    }
+
     /// Binary search the prefix layer within `[lo, hi)` for the last group
     /// whose leader prefix <= probe. Charges one fixed-size PM read per
     /// probe.
@@ -1038,21 +1060,7 @@ impl<S: Storage> PmTable<S> {
             .binary_search_by(|row| row.prefix.as_slice().cmp(meta))
             .ok()?;
         let row = &self.metas[mid];
-        let mut group =
-            self.locate_group(rest, row.first_group, row.first_group + row.group_count, tl);
-        // Fixed-width leaders can tie across groups, and the versions of
-        // one key can straddle a group boundary — internal-key order
-        // stores the newest sequence *first*, so newer versions live in
-        // earlier groups. Step back while the group's full first key is
-        // >= the probe: the match, or a newer version of it, may live in
-        // an earlier group.
-        while group > row.first_group {
-            self.storage.meter_random(32, tl);
-            match self.group_first_rest(group) {
-                Some(first) if first.as_slice() >= rest => group -= 1,
-                _ => break,
-            }
-        }
+        let group = self.first_candidate_group(rest, row, tl);
         // Scan forward from the earliest candidate group. Versions are
         // laid out newest-first, so the first group with a visible
         // (seq <= snapshot) entry holds the newest visible version.
@@ -1184,22 +1192,7 @@ impl<S: Storage> PmTable<S> {
             .partition_point(|row| row.prefix.as_slice() < meta);
         let mut out = Vec::new();
         let mut group = match self.metas.get(start_meta) {
-            Some(row) if row.prefix.as_slice() == meta => {
-                let mut g =
-                    self.locate_group(rest, row.first_group, row.first_group + row.group_count, tl);
-                // Same fixed-width-prefix tie handling as `get`: step
-                // back while the located group's full first key sorts
-                // after the scan start, or entries in earlier tied
-                // groups would be skipped.
-                while g > row.first_group {
-                    self.storage.meter_random(32, tl);
-                    match self.group_first_rest(g) {
-                        Some(first) if first.as_slice() > rest => g -= 1,
-                        _ => break,
-                    }
-                }
-                g
-            }
+            Some(row) if row.prefix.as_slice() == meta => self.first_candidate_group(rest, row, tl),
             Some(row) => row.first_group,
             None => return Vec::new(),
         };
@@ -1684,6 +1677,28 @@ mod tests {
         assert_eq!(t.get(b"t0:a", u64::MAX, &mut tl).unwrap().value, b"before");
         assert_eq!(t.get(b"t0:z", u64::MAX, &mut tl).unwrap().value, b"after");
         assert_eq!(t.scan_all(&mut tl), entries);
+    }
+
+    #[test]
+    fn scan_from_a_straddling_key_returns_its_newest_version() {
+        // `t0:k`'s 30 versions fill several groups; the newest ones sit
+        // in the group that starts with `t0:a`. A scan starting at
+        // `t0:k` must begin there, not at the last all-`k` group.
+        let mut entries = vec![OwnedEntry::value(b"t0:a".to_vec(), 1000, b"a".to_vec())];
+        for seq in (1..=30u64).rev() {
+            entries.push(OwnedEntry::value(
+                b"t0:k".to_vec(),
+                seq,
+                format!("v{seq}").into_bytes(),
+            ));
+        }
+        entries.push(OwnedEntry::value(b"t0:z".to_vec(), 1001, b"z".to_vec()));
+        let t = build(&entries, delim_opts());
+        let mut tl = Timeline::new();
+        let got = t.scan_range(b"t0:k", None, usize::MAX, &mut tl);
+        assert_eq!(got, entries[1..].to_vec());
+        let first = t.scan_range(b"t0:k", None, 1, &mut tl);
+        assert_eq!(first[0].seq, 30, "newest version comes first");
     }
 
     #[test]

@@ -6,8 +6,7 @@
 //! ```
 
 use coroutine::{Policy, Scheduler, SchedulerConfig, TraceParams};
-use pm_blade::engine::CompactionKind;
-use pm_blade::{CompactionRequest, Db, DbError, MaintenanceMode, Options};
+use pm_blade::{CompactionRequest, Db, DbError, MaintenanceMode, Options, SpanKind};
 
 fn main() -> Result<(), DbError> {
     // ---- Internal compaction on demand -------------------------------
@@ -31,19 +30,20 @@ fn main() -> Result<(), DbError> {
     println!("level-0 before: ~{n_unsorted} unsorted tables, {before} bytes on PM");
 
     db.compact(CompactionRequest::Internal { partition: 0 })?;
+    let snap = db.metrics_snapshot();
     println!(
         "internal compaction released {} bytes ({} duplicate records)",
-        db.stats().internal_space_released.get(),
-        db.stats().internal_dropped_records.get(),
+        snap.counter("internal_space_released"),
+        snap.counter("internal_dropped_records"),
     );
     println!("level-0 after: {} bytes on PM", db.pm_used());
-    let log = db.compaction_log();
-    let ev = log
+    let ev = snap
+        .spans
         .iter()
         .rev()
-        .find(|e| e.kind == CompactionKind::Internal)
+        .find(|s| s.kind == SpanKind::Internal)
         .expect("we just ran one");
-    println!("it took {} of virtual device time\n", ev.duration);
+    println!("it took {} of virtual device time\n", ev.duration());
 
     // Reads are sharply cheaper once level-0 is sorted.
     let out = db.get(b"k00400")?;

@@ -125,7 +125,7 @@ fn main() -> Result<(), pm_blade::DbError> {
     println!("\n== prometheus (excerpt) ==");
     for line in db.metrics_snapshot().to_prometheus().lines().filter(|l| {
         l.starts_with("pmblade_read_latency")
-            || l.starts_with("pmblade_group_commits")
+            || l.starts_with("pmblade_partition_group_commits")
             || l.starts_with("pmblade_pm_used_bytes")
             || l.starts_with("pmblade_maintenance_queue_depth")
             || l.starts_with("pmblade_write_stalls")
@@ -162,12 +162,11 @@ fn main() -> Result<(), pm_blade::DbError> {
         println!("{line}");
     }
 
-    // The compaction log is the same data, seen through the ring: it
-    // holds at most `event_log_capacity` recent events.
-    let log = db.compaction_log();
+    // The snapshot's spans are the compaction log: a ring holding at
+    // most `event_log_capacity` recent flushes and compactions.
     println!(
-        "\ncompaction log: {} recent events (minor/internal/major), {:?} spans dropped",
-        log.len(),
+        "\ncompaction log: {} recent events (flush/internal/major), {} spans dropped",
+        snap.spans.len(),
         snap.spans_dropped
     );
     Ok(())

@@ -62,11 +62,12 @@ fn main() -> Result<(), pm_blade::DbError> {
         wa.ssd_bytes,
         wa.factor()
     );
+    let snap = db.metrics_snapshot();
     println!(
         "compact  : {} minor, {} internal, {} major",
-        db.stats().minor_compactions.get(),
-        db.stats().internal_compactions.get(),
-        db.stats().major_compactions.get(),
+        snap.counter("minor_compactions"),
+        snap.counter("internal_compactions"),
+        snap.counter("major_compactions"),
     );
     println!(
         "pm usage : {} / {} bytes",

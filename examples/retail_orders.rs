@@ -62,13 +62,13 @@ fn main() -> Result<(), DbError> {
 
     // The hot/warm split the paper exploits: status updates concentrate
     // on recent orders, so internal compaction keeps them cheap to read.
-    let stats = rel.db().stats();
+    let snap = rel.db().metrics_snapshot();
     println!(
         "reads served: memtable {}, PM {}, SSD {} (pm hit {:.0}%)",
-        stats.reads_from_memtable.get(),
-        stats.reads_from_pm.get(),
-        stats.reads_from_ssd.get(),
-        stats.pm_hit_ratio() * 100.0
+        snap.counter("reads_from_memtable"),
+        snap.counter("reads_from_pm"),
+        snap.counter("reads_from_ssd"),
+        snap.pm_hit_ratio() * 100.0
     );
     Ok(())
 }

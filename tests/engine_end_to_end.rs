@@ -20,9 +20,10 @@ fn full_lifecycle_reads_stay_correct() {
     for i in (0..n).step_by(3) {
         db.put(&key_for(i), &value_for(i + 1_000_000, 400)).unwrap();
     }
-    assert!(db.stats().minor_compactions.get() > 10);
+    let snap = db.metrics_snapshot();
+    assert!(snap.counter("minor_compactions") > 10);
     assert!(
-        db.stats().major_compactions.get() >= 1,
+        snap.counter("major_compactions") >= 1,
         "PM must have filled"
     );
     for k in (0..n).step_by(97) {

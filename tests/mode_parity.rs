@@ -159,10 +159,11 @@ fn matrixkv_costs_more_to_flush_than_pmblade() {
         db.compact(CompactionRequest::FlushAll).unwrap();
     }
     let flush_time = |db: &Db| -> sim::SimDuration {
-        db.compaction_log()
+        db.metrics_snapshot()
+            .spans
             .iter()
-            .filter(|e| e.kind == pm_blade::engine::CompactionKind::Minor)
-            .map(|e| e.duration)
+            .filter(|s| s.kind == pm_blade::SpanKind::Flush)
+            .map(|s| s.duration())
             .sum()
     };
     assert!(flush_time(&matrix) > flush_time(&blade));

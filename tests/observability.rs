@@ -229,10 +229,10 @@ fn listener_ordering_survives_concurrency() {
     opts.listeners
         .add(Arc::clone(&recorder) as Arc<dyn EventListener>);
     let db = Arc::new(Db::open(opts).unwrap());
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         for t in 0..4 {
             let db = Arc::clone(&db);
-            s.spawn(move |_| {
+            s.spawn(move || {
                 for i in 0..400u32 {
                     let k = format!("w{t}-{i:05}");
                     db.put(k.as_bytes(), &[b'c'; 64]).unwrap();
@@ -241,7 +241,7 @@ fn listener_ordering_survives_concurrency() {
         }
         for _ in 0..2 {
             let db = Arc::clone(&db);
-            s.spawn(move |_| {
+            s.spawn(move || {
                 for i in 0..600u32 {
                     let k = format!("w{}-{:05}", i % 4, i % 400);
                     let _ = db.get(k.as_bytes()).unwrap();
@@ -249,13 +249,12 @@ fn listener_ordering_survives_concurrency() {
             });
         }
         let db = Arc::clone(&db);
-        s.spawn(move |_| {
+        s.spawn(move || {
             for pid in 0..3 {
                 let _ = db.compact(CompactionRequest::Flush { partition: pid % 2 });
             }
         });
-    })
-    .unwrap();
+    });
     db.compact(CompactionRequest::FlushAll).unwrap();
     let events = recorder.events.lock().unwrap().clone();
     // Flushes and compactions run under partition write locks (and the
@@ -263,11 +262,15 @@ fn listener_ordering_survives_concurrency() {
     // must still pair up per partition.
     check_pairing(&events);
     assert!(recorder.group_commits.load(Ordering::Relaxed) > 0);
-    // The snapshot agrees with the listener's view of group commits:
-    // every group the listener saw is counted (leaders that found an
-    // empty queue commit nothing and emit nothing).
+    // The snapshot agrees exactly with the listener's view of group
+    // commits: `commit_group` fires the hook and bumps the counter once
+    // per committed group (leaders that found an empty queue commit
+    // nothing and emit nothing).
     let snap = db.metrics_snapshot();
-    assert!(snap.counter("group_commits") >= recorder.group_commits.load(Ordering::Relaxed));
+    assert_eq!(
+        snap.counter("group_commits"),
+        recorder.group_commits.load(Ordering::Relaxed)
+    );
 }
 
 // -------------------------------------------------------------------
@@ -278,8 +281,8 @@ fn listener_ordering_survives_concurrency() {
 fn prometheus_rendering_matches_golden() {
     let mut counters = BTreeMap::new();
     counters.insert(MetricKey::global("gets"), 42);
-    counters.insert(MetricKey::partition("group_commits", 0), 7);
-    counters.insert(MetricKey::partition("group_commits", 1), 9);
+    counters.insert(MetricKey::partition("partition_group_commits", 0), 7);
+    counters.insert(MetricKey::partition("partition_group_commits", 1), 9);
     counters.insert(MetricKey::level("read_source_ssd", 1, 2), 3);
     let mut gauges = BTreeMap::new();
     gauges.insert(MetricKey::global("maintenance_queue_depth"), 3);
@@ -294,9 +297,9 @@ fn prometheus_rendering_matches_golden() {
     let expected = "\
 # TYPE pmblade_gets counter
 pmblade_gets 42
-# TYPE pmblade_group_commits counter
-pmblade_group_commits{partition=\"0\"} 7
-pmblade_group_commits{partition=\"1\"} 9
+# TYPE pmblade_partition_group_commits counter
+pmblade_partition_group_commits{partition=\"0\"} 7
+pmblade_partition_group_commits{partition=\"1\"} 9
 # TYPE pmblade_read_source_ssd counter
 pmblade_read_source_ssd{partition=\"1\",level=\"2\"} 3
 # TYPE pmblade_maintenance_queue_depth gauge
@@ -330,6 +333,7 @@ fn prometheus_exposition_is_well_formed() {
     db.compact(CompactionRequest::FlushAll).unwrap();
     let text = db.metrics_snapshot().to_prometheus();
     let mut typed: Vec<&str> = Vec::new();
+    let mut labelled: BTreeMap<&str, bool> = BTreeMap::new();
     for line in text.lines() {
         if let Some(rest) = line.strip_prefix("# TYPE pmblade_") {
             typed.push(rest.split(' ').next().unwrap());
@@ -346,11 +350,20 @@ fn prometheus_exposition_is_well_formed() {
             .trim_end_matches("_sum")
             .trim_end_matches("_count");
         assert!(typed.contains(&name), "series {name} missing TYPE header");
+        // Each event is filed once: a series name is either always or
+        // never partition-labelled, so a `sum()` never double counts.
+        let partitioned = series.contains("partition=");
+        assert_eq!(
+            *labelled.entry(name).or_insert(partitioned),
+            partitioned,
+            "{name} appears with and without a partition label"
+        );
     }
     // The engine-level metrics the paper's analysis leans on are there.
     for needle in [
         "pmblade_puts ",
-        "pmblade_group_commits{partition=\"0\"}",
+        "pmblade_group_commits ",
+        "pmblade_partition_group_commits{partition=\"0\"}",
         "pmblade_read_latency{quantile=\"0.5\"}",
         "pmblade_write_latency{quantile=\"0.99\"}",
         "pmblade_pm_bytes_written ",

@@ -70,7 +70,7 @@ fn space_released_grows_with_skew() {
         db.compact(CompactionRequest::FlushAll).unwrap();
         db.compact(CompactionRequest::Internal { partition: 0 })
             .unwrap();
-        db.stats().internal_space_released.get()
+        db.metrics_snapshot().counter("internal_space_released")
     };
     let mild = released_at(0.2);
     let heavy = released_at(0.99);
@@ -103,7 +103,7 @@ fn retention_beats_whole_level_eviction_on_hit_ratio() {
                 db.put(&key_for(i), b"update").unwrap();
             }
         }
-        db.stats().pm_hit_ratio()
+        db.metrics_snapshot().pm_hit_ratio()
     };
     let blade = run(Mode::PmBlade);
     let conventional = run(Mode::PmBladePm);
@@ -194,10 +194,11 @@ fn write_amplification_accounting_consistent() {
     );
     assert!(wa.factor() >= 1.0);
     // Internal compaction releases space but never loses entries.
-    let before_entries: u64 = db.stats().puts.get();
+    let puts = || db.metrics_snapshot().counter("puts");
+    let before_entries = puts();
     db.compact(CompactionRequest::Internal { partition: 0 })
         .unwrap();
-    assert_eq!(db.stats().puts.get(), before_entries);
+    assert_eq!(puts(), before_entries);
     for i in (0..2_000u64).step_by(173) {
         assert!(db.get(&key_for(i)).unwrap().value.is_some());
     }
