@@ -274,13 +274,13 @@ fn bench_options(args: &Args) -> Options {
     opts.maintenance = args.maintenance;
     opts.partitioner = Partitioner::numeric("user", args.num.max(1), args.partitions.max(1));
     if let Some(bits) = args.pm_filter_bits {
-        opts.pm_filter_bits_per_key = bits;
+        opts.pm_table.filter_bits_per_key = bits;
     }
     if let Some(bytes) = args.pm_cache_bytes {
         opts.pm_group_cache_bytes = bytes;
     }
     if let Some(codec) = args.pm_codec {
-        opts.pm_codec_mode = codec;
+        opts.pm_table.codec = codec;
     }
     opts
 }
@@ -1075,7 +1075,7 @@ fn encoding_report(args: &Args) {
     for (i, (name, mode)) in modes.into_iter().enumerate() {
         println!("--- codec mode: {name} ---");
         let mut opts = bench_options(args);
-        opts.pm_codec_mode = mode;
+        opts.pm_table.codec = mode;
         let mut db = Db::open(opts.clone()).expect("engine opens");
         let ts = timeseries(&mut db, args);
         db.close();

@@ -46,8 +46,8 @@ fn scaled(mode: Mode, pm: usize) -> Options {
         pm_table: PmTableOptions {
             group_size: 16,
             extractor: MetaExtractor::None,
-            filter_bits_per_key: 0, // overridden by pm_filter_bits_per_key at open
-            codec: pmtable::CodecMode::Prefix, // overridden by pm_codec_mode at open
+            filter_bits_per_key: 10,
+            codec: pmtable::CodecMode::Auto,
         },
         ..Options::default()
     }

@@ -42,11 +42,12 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use coroutine::SchedulerConfig;
 use encoding::key::{KeyKind, SequenceNumber};
 use memtable::{Wal, WalRecord};
 use parking_lot::{Mutex, RwLock};
 use pm_device::{PmError, PmPool};
-use pmtable::OwnedEntry;
+use pmtable::{Lookup, OwnedEntry};
 use sim::fault::FaultPlan;
 use sim::{CostModel, SimDuration, SimInstant, Timeline};
 use ssd_device::{SsdDevice, SsdError};
@@ -56,16 +57,17 @@ use sim::Counter;
 
 use crate::commit::{BatchOp, CommitMetrics, Committer, Ticket, WriteBatch};
 use crate::costmodel::{
-    explain_read_benefit_coded, explain_write_benefit_coded, select_retained, RetentionCandidate,
+    explain_read_benefit_coded, explain_write_benefit_coded, select_retained, CodecCostTable,
+    RetentionCandidate,
 };
 use crate::groupcache::PmGroupCache;
 use crate::handle::{reopen_pm_table, CacheIds, PmTableHandle, SsTableHandle};
 use crate::level0::ProbeStats;
 use crate::levels::SsdReadStats;
 use crate::maintenance::{self, Job, JobKind, MaintenanceShared, QueueMetrics};
-use crate::manifest::{Manifest, ManifestError, PartitionVersion, SsdMeta, VersionEdit};
+use crate::manifest::{self, Manifest, ManifestError, PartitionVersion, SsdMeta, VersionEdit};
 use crate::options::{MaintenanceMode, Mode, Options};
-use crate::partition::{Level0, Partition};
+use crate::partition::{get_ssd_level0, Level0, Partition};
 use crate::stats::{roll_up, ReadSource};
 use crate::telemetry::{
     chrome_trace_json, CostDecision, LatencyRecorder, MetricKey, MetricsRegistry, MetricsSnapshot,
@@ -571,9 +573,14 @@ impl std::ops::Deref for Db {
 impl Db {
     /// Open an engine with the given options.
     ///
-    /// `open` trusts its input; use [`Options::builder`] to validate a
-    /// configuration before opening. In
-    /// [`MaintenanceMode::Background`] this also spawns
+    /// `open` trusts its input and uses every field as given; use
+    /// [`Options::builder`] to validate a configuration before opening.
+    /// Unless [`Options::pm_table`] forces the prefix codec (or the
+    /// engine has an SSD level-0), `open` calibrates the per-codec cost
+    /// table that `Auto` codec selection and the Eq 1/Eq 2 decode terms
+    /// use, on the virtual clock. With [`Options::wal_dir`] set it
+    /// recovers the previous engine's state. In
+    /// [`MaintenanceMode::Background`] it also spawns
     /// [`Options::maintenance_workers`] worker threads.
     pub fn open(opts: Options) -> Result<Db, DbError> {
         let core = Arc::new(DbCore::open(opts)?);
@@ -647,10 +654,55 @@ impl std::fmt::Debug for Db {
     }
 }
 
+/// Record a PM level-0 probe's measured sub-intervals as stages of `s`,
+/// laid out from `pm_from` in consult order: filters, then cache-served
+/// probes, then probes that decoded groups from PM.
+fn trace_pm_probe(s: &mut StageTrace, pm_from: u64, probe: &ProbeStats) {
+    let mut cursor = pm_from;
+    if probe.filter_checked > 0 {
+        s.stage_counts(
+            SpanKind::FilterConsult,
+            cursor,
+            cursor + probe.filter_nanos,
+            probe.filter_checked,
+            probe.filter_useful,
+        );
+        cursor += probe.filter_nanos;
+    }
+    if probe.decode_cache_hits > 0 {
+        s.stage_counts(
+            SpanKind::PmDecodeHit,
+            cursor,
+            cursor + probe.decode_hit_nanos,
+            probe.decode_cache_hits,
+            0,
+        );
+        cursor += probe.decode_hit_nanos;
+    }
+    if probe.decode_cache_misses > 0 || probe.decode_miss_nanos > 0 {
+        s.stage_counts(
+            SpanKind::PmDecodeMiss,
+            cursor,
+            cursor + probe.decode_miss_nanos,
+            probe.decode_cache_misses,
+            0,
+        );
+    }
+}
+
+/// Virtual-time penalty charged to each write admitted under slowdown
+/// (the RocksDB `delayed_write_rate` analogue).
+const SLOWDOWN_DELAY: SimDuration = SimDuration::from_micros(100);
+
 /// The engine proper: every state field and every operation. Shared
 /// between the public [`Db`] handle and the maintenance workers.
 pub struct DbCore {
     opts: Options,
+    /// Measured per-codec decode cost and density feeding codec
+    /// selection and the Eq 1/Eq 2 decode terms, derived at open. The
+    /// zero table (prefix codec or SSD level-0) prices every codec at
+    /// nothing, so selection resolves to the prefix baseline.
+    codec_costs: CodecCostTable,
     partitions: Vec<RwLock<Partition>>,
     committers: Vec<Committer>,
     pool: Arc<PmPool>,
@@ -757,21 +809,19 @@ impl DbCore {
     /// from the backing directories), garbage-collect media objects the
     /// manifest does not reference, then replay only the WAL records
     /// newer than each partition's flush checkpoint.
-    fn open(mut opts: Options) -> Result<DbCore, DbError> {
+    fn open(opts: Options) -> Result<DbCore, DbError> {
         let recovery_start = std::time::Instant::now();
-        // The PM-table filter knob lives on the engine options; project
-        // it onto the per-table build options so every flush and
-        // compaction builds (or skips) filters consistently.
-        opts.pm_table.filter_bits_per_key = opts.pm_filter_bits_per_key;
-        // Same for the codec knob (encoding v2). For anything beyond
-        // plain prefix groups, calibrate the per-codec decode-cost table
-        // once, on the virtual clock, so Auto selection and the Eq 1/2
-        // decode terms see measured numbers instead of zeros. SSD
-        // level-0 mode never builds PM tables, so it skips the work.
-        opts.pm_table.codec = opts.pm_codec_mode;
-        if opts.mode != Mode::SsdLevel0 && opts.pm_codec_mode != pmtable::CodecMode::Prefix {
-            opts.codec_costs = crate::costmodel::CodecCostTable::calibrate(&opts.cost);
-        }
+        // For anything beyond plain prefix groups, calibrate the
+        // per-codec decode-cost table once, on the virtual clock, so
+        // Auto selection and the Eq 1/2 decode terms see measured
+        // numbers instead of zeros. SSD level-0 mode never builds PM
+        // tables, so it skips the work.
+        let codec_costs =
+            if opts.mode != Mode::SsdLevel0 && opts.pm_table.codec != pmtable::CodecMode::Prefix {
+                CodecCostTable::calibrate(&opts.cost)
+            } else {
+                CodecCostTable::default()
+            };
         let fault = opts.fault_plan.clone();
         let cache = Arc::new(BlockCache::new(opts.block_cache_bytes));
         let now = SimInstant::ORIGIN;
@@ -801,7 +851,7 @@ impl DbCore {
                 )?;
                 let device = SsdDevice::with_backing(opts.cost, dir.join("ssd"), fault.clone())?;
                 let mut manifest =
-                    Manifest::open(&dir, opts.manifest_snapshot_every, opts.cost, fault.clone())?;
+                    Manifest::open(&dir, manifest::SNAPSHOT_EVERY, opts.cost, fault.clone())?;
                 let mut tl = Timeline::new();
                 let state = manifest.state().clone();
                 // Rebuild each partition's table set from its last
@@ -1027,8 +1077,12 @@ impl DbCore {
             completed: registry.counter(MetricKey::global("maintenance_jobs_completed")),
             failed: registry.counter(MetricKey::global("maintenance_jobs_failed")),
         };
-        let maintenance = (opts.maintenance == MaintenanceMode::Background)
-            .then(|| Arc::new(MaintenanceShared::new(opts.scheduler, queue_metrics)));
+        let maintenance = (opts.maintenance == MaintenanceMode::Background).then(|| {
+            Arc::new(MaintenanceShared::new(
+                SchedulerConfig::default(),
+                queue_metrics,
+            ))
+        });
         let ring = Ring::new(opts.event_log_capacity);
         let tracer = Tracer::new(
             opts.trace_sample_every,
@@ -1038,6 +1092,7 @@ impl DbCore {
             registry.counter(MetricKey::global("trace_recorded_total")),
         );
         Ok(DbCore {
+            codec_costs,
             partitions: partitions.into_iter().map(RwLock::new).collect(),
             committers,
             pool,
@@ -1599,7 +1654,7 @@ impl DbCore {
     /// maintenance directly and need no gate). Two pressure signals per
     /// partition — unsorted level-0 tables and memtable debt (size as a
     /// multiple of the flush target) — each with a *slowdown* threshold
-    /// (charge [`Options::slowdown_delay`] of virtual latency) and a
+    /// (charge [`SLOWDOWN_DELAY`] of virtual latency) and a
     /// *stall* threshold (park the real thread until the workers catch
     /// up). Returns the virtual penalty to add to the write's latency;
     /// the engine clock is advanced by it here.
@@ -1681,8 +1736,8 @@ impl DbCore {
                 // keeps running at full speed would re-trip the trigger
                 // before the workers can touch the backlog.
                 m.wait_for_progress(std::time::Duration::from_micros(100));
-                self.advance(self.opts.slowdown_delay);
-                return self.opts.slowdown_delay;
+                self.advance(SLOWDOWN_DELAY);
+                return SLOWDOWN_DELAY;
             }
             return SimDuration::ZERO;
         }
@@ -1994,80 +2049,45 @@ impl DbCore {
         }
         let probed = if let Some(hit) = mem_hit {
             Ok((Some(hit), ReadSource::MemTable, None))
-        } else if let Level0::Pm(l0) = &guard.level0 {
-            let l0_snap = l0.snapshot();
-            drop(guard);
-            let pm_from = tl.elapsed().as_nanos();
-            let mut probe = ProbeStats::default();
-            let l0_hit = l0_snap.get_with(
-                user_key,
-                snapshot,
-                &mut tl,
-                Some(&self.group_cache),
-                &mut probe,
-            );
-            self.note_probe_stats(&probe);
-            if let Some(s) = st.as_mut() {
-                // Lay the measured PM sub-intervals out in consult
-                // order: filters, then cache-served probes, then
-                // probes that decoded groups from PM.
-                let mut cursor = pm_from;
-                if probe.filter_checked > 0 {
-                    s.stage_counts(
-                        SpanKind::FilterConsult,
-                        cursor,
-                        cursor + probe.filter_nanos,
-                        probe.filter_checked,
-                        probe.filter_useful,
-                    );
-                    cursor += probe.filter_nanos;
-                }
-                if probe.decode_cache_hits > 0 {
-                    s.stage_counts(
-                        SpanKind::PmDecodeHit,
-                        cursor,
-                        cursor + probe.decode_hit_nanos,
-                        probe.decode_cache_hits,
-                        0,
-                    );
-                    cursor += probe.decode_hit_nanos;
-                }
-                if probe.decode_cache_misses > 0 || probe.decode_miss_nanos > 0 {
-                    s.stage_counts(
-                        SpanKind::PmDecodeMiss,
-                        cursor,
-                        cursor + probe.decode_miss_nanos,
-                        probe.decode_cache_misses,
-                        0,
-                    );
-                }
-            }
-            if let Some(hit) = l0_hit {
-                Ok((Some(hit), ReadSource::Pm, None))
-            } else {
-                let guard = self.partitions[pid].read();
-                let ssd_from = tl.elapsed().as_nanos();
-                let mut ssd = SsdReadStats::default();
-                let res = guard
-                    .levels
-                    .get_with_stats(user_key, snapshot, &mut tl, &mut ssd);
-                if let Some(s) = st.as_mut() {
-                    s.stage_counts(
-                        SpanKind::SsdRead,
-                        ssd_from,
-                        tl.elapsed().as_nanos(),
-                        ssd.levels_searched,
-                        ssd.tables_probed,
-                    );
-                }
-                match res {
-                    Ok(Some((hit, level))) => Ok((Some(hit), ReadSource::Ssd, Some(level))),
-                    Ok(None) => Ok((None, ReadSource::Miss, None)),
-                    Err(e) => Err(DbError::from(e)),
-                }
-            }
         } else {
-            guard.get_below_memtable(user_key, snapshot, &mut tl)
+            match &guard.level0 {
+                Level0::Pm(l0) => {
+                    let l0_snap = l0.snapshot();
+                    drop(guard);
+                    let pm_from = tl.elapsed().as_nanos();
+                    let mut probe = ProbeStats::default();
+                    let l0_hit = l0_snap.get_with(
+                        user_key,
+                        snapshot,
+                        &mut tl,
+                        Some(&self.group_cache),
+                        &mut probe,
+                    );
+                    self.note_probe_stats(&probe);
+                    if let Some(s) = st.as_mut() {
+                        trace_pm_probe(s, pm_from, &probe);
+                    }
+                    match l0_hit {
+                        Some(hit) => Ok((Some(hit), ReadSource::Pm, None)),
+                        None => {
+                            let guard = self.partitions[pid].read();
+                            self.get_ssd_levels(&guard, user_key, snapshot, &mut tl, st.as_mut())
+                        }
+                    }
+                }
+                // A matrix or SSD level-0 is searched under the lock.
+                Level0::Matrix(m) => match m.get(user_key, snapshot, &mut tl) {
+                    Some(hit) => Ok((Some(hit), ReadSource::Pm, None)),
+                    None => self.get_ssd_levels(&guard, user_key, snapshot, &mut tl, st.as_mut()),
+                },
+                Level0::Ssd(tables) => match get_ssd_level0(tables, user_key, snapshot, &mut tl) {
+                    Ok(Some(hit)) => Ok((Some(hit), ReadSource::Ssd, Some(0))),
+                    Ok(None) => {
+                        self.get_ssd_levels(&guard, user_key, snapshot, &mut tl, st.as_mut())
+                    }
+                    Err(e) => Err(e.into()),
+                },
+            }
         };
         let (hit, source, ssd_level) = match probed {
             Ok(result) => result,
@@ -2091,6 +2111,34 @@ impl DbCore {
             source,
             latency,
         })
+    }
+
+    /// The SSD-level leg of a point read, recorded as the `SsdRead`
+    /// stage when the read is traced.
+    fn get_ssd_levels(
+        &self,
+        partition: &Partition,
+        user_key: &[u8],
+        snapshot: SequenceNumber,
+        tl: &mut Timeline,
+        st: Option<&mut StageTrace>,
+    ) -> Result<(Option<Lookup>, ReadSource, Option<usize>), DbError> {
+        let ssd_from = tl.elapsed().as_nanos();
+        let mut ssd = SsdReadStats::default();
+        let res = partition.levels.get(user_key, snapshot, tl, &mut ssd);
+        if let Some(s) = st {
+            s.stage_counts(
+                SpanKind::SsdRead,
+                ssd_from,
+                tl.elapsed().as_nanos(),
+                ssd.levels_searched,
+                ssd.tables_probed,
+            );
+        }
+        match res? {
+            Some((hit, level)) => Ok((Some(hit), ReadSource::Ssd, Some(level))),
+            None => Ok((None, ReadSource::Miss, None)),
+        }
     }
 
     /// The shared PM-L0 group-decode cache (for diagnostics and tests).
@@ -2164,49 +2212,19 @@ impl DbCore {
         let mut tl = Timeline::new();
         let start_nanos = self.clock.load(Ordering::Relaxed);
         self.scans.incr();
-        let start = request.start.as_slice();
-        let end = request.end.as_deref();
-        let limit = request.limit;
-        let first_pid = self.opts.partitioner.locate(start);
-        let last_pid = end
+        let first_pid = self.opts.partitioner.locate(&request.start);
+        let last_pid = request
+            .end
+            .as_ref()
             .map(|e| self.opts.partitioner.locate(e))
             .unwrap_or(self.partitions.len() - 1);
         let mut out = Vec::new();
-        if request.reverse {
-            // Reverse scans walk partitions back to front and consume
-            // each partition's slice from the tail. Truncated sources
-            // cut from the *front* of a range, so the slice must be
-            // collected in full before the tail is meaningful — correct
-            // for any range, efficient only for bounded ones.
-            for pid in (first_pid..=last_pid).rev() {
-                if out.len() >= limit {
-                    break;
-                }
-                let merged = self.scan_partition(pid, start, end, usize::MAX, &mut tl);
-                for entry in merged.into_iter().rev() {
-                    if out.len() >= limit {
-                        break;
-                    }
-                    if entry.kind == KeyKind::Value {
-                        out.push((entry.user_key, entry.value));
-                    }
-                }
-            }
-        } else {
-            for pid in first_pid..=last_pid {
-                let merged = self.scan_partition(pid, start, end, limit - out.len(), &mut tl);
-                for entry in merged {
-                    if out.len() >= limit {
-                        break;
-                    }
-                    if entry.kind == KeyKind::Value {
-                        out.push((entry.user_key, entry.value));
-                    }
-                }
-                if out.len() >= limit {
-                    break;
-                }
-            }
+        if let Err(e) = self.scan_rows(&request, first_pid, last_pid, &mut out, &mut tl) {
+            // Surface the failure (never a silently short result), but
+            // still account for the work the scan performed.
+            self.ssd_read_errors.incr();
+            self.advance(tl.elapsed());
+            return Err(e);
         }
         let latency = tl.elapsed();
         self.advance(latency);
@@ -2220,6 +2238,58 @@ impl DbCore {
         Ok((out, latency))
     }
 
+    /// Append the live rows of a scan over partitions
+    /// `first_pid..=last_pid` to `out`.
+    fn scan_rows(
+        &self,
+        request: &ScanRequest,
+        first_pid: usize,
+        last_pid: usize,
+        out: &mut Vec<(Vec<u8>, Vec<u8>)>,
+        tl: &mut Timeline,
+    ) -> Result<(), DbError> {
+        let start = request.start.as_slice();
+        let end = request.end.as_deref();
+        let limit = request.limit;
+        if request.reverse {
+            // Reverse scans walk partitions back to front and consume
+            // each partition's slice from the tail. Truncated sources
+            // cut from the *front* of a range, so the slice must be
+            // collected in full before the tail is meaningful — correct
+            // for any range, efficient only for bounded ones.
+            for pid in (first_pid..=last_pid).rev() {
+                if out.len() >= limit {
+                    break;
+                }
+                let merged = self.scan_partition(pid, start, end, usize::MAX, tl)?;
+                for entry in merged.into_iter().rev() {
+                    if out.len() >= limit {
+                        break;
+                    }
+                    if entry.kind == KeyKind::Value {
+                        out.push((entry.user_key, entry.value));
+                    }
+                }
+            }
+        } else {
+            for pid in first_pid..=last_pid {
+                let merged = self.scan_partition(pid, start, end, limit - out.len(), tl)?;
+                for entry in merged {
+                    if out.len() >= limit {
+                        break;
+                    }
+                    if entry.kind == KeyKind::Value {
+                        out.push((entry.user_key, entry.value));
+                    }
+                }
+                if out.len() >= limit {
+                    break;
+                }
+            }
+        }
+        Ok(())
+    }
+
     /// One partition's merged, version-deduplicated slice of
     /// `[start, end)`, containing at least `needed` live entries when
     /// the partition holds that many (tombstones ride along for the
@@ -2231,7 +2301,7 @@ impl DbCore {
         end: Option<&[u8]>,
         needed: usize,
         tl: &mut Timeline,
-    ) -> Vec<OwnedEntry> {
+    ) -> Result<Vec<OwnedEntry>, DbError> {
         let partition = self.partitions[pid].read();
         partition.counters.reads.incr();
         // Per-source limits count raw entries, but shadowed versions
@@ -2243,7 +2313,13 @@ impl DbCore {
         let mut per_source = needed.max(1);
         loop {
             let mut attempt = Timeline::new();
-            let sources = partition.scan_sources(start, end, per_source, &mut attempt);
+            let sources = match partition.scan_sources(start, end, per_source, &mut attempt) {
+                Ok(sources) => sources,
+                Err(e) => {
+                    tl.charge(attempt.elapsed());
+                    return Err(e.into());
+                }
+            };
             // Merged results are only complete up to the smallest
             // last key among truncated sources (beyond it, a
             // truncated source may be hiding smaller keys than what
@@ -2268,7 +2344,7 @@ impl DbCore {
             let live = merged.iter().filter(|e| e.kind == KeyKind::Value).count();
             if live >= needed || bound.is_none() || per_source >= usize::MAX / 8 {
                 tl.charge(attempt.elapsed());
-                return merged;
+                return Ok(merged);
             }
             per_source *= 4;
         }
@@ -2334,6 +2410,7 @@ impl DbCore {
                 &self.cache,
                 &self.table_counter,
                 &self.cache_ids,
+                &self.codec_costs,
                 &mut tl,
             )?;
             let version = report.map(|_| self.partition_version(&p));
@@ -2424,10 +2501,9 @@ impl DbCore {
                     // actual mix (zero with an uncalibrated cost table).
                     let (probe_decode, decode_per_record) = match &partition.level0 {
                         Level0::Pm(l0) => (
-                            self.opts
-                                .codec_costs
+                            self.codec_costs
                                 .probe_decode(l0.unsorted.iter().map(|h| (h.codec, h.entries))),
-                            self.opts.codec_costs.decode_per_record(
+                            self.codec_costs.decode_per_record(
                                 l0.unsorted
                                     .iter()
                                     .chain(l0.sorted_run())
@@ -2556,7 +2632,13 @@ impl DbCore {
         let pm_read_before = self.pool.stats().bytes_read.get();
         let pm_written_before = self.pool.stats().bytes_written.get();
         let mut p = self.partitions[pid].write();
-        let result = match p.internal_compaction(&self.opts, &self.pool, &self.cache_ids, &mut tl) {
+        let result = match p.internal_compaction(
+            &self.opts,
+            &self.pool,
+            &self.cache_ids,
+            &self.codec_costs,
+            &mut tl,
+        ) {
             Ok(r) => r,
             Err(DbError::Pm(PmError::OutOfSpace { .. })) => {
                 drop(p);
@@ -2646,7 +2728,7 @@ impl DbCore {
     /// background workers; the inline path keeps the single-install
     /// major for deterministic span counts.
     fn do_major_chunked(&self, pid: usize, origin: u64) -> Result<(), DbError> {
-        let k = crate::compaction::chunk_count(&self.opts.scheduler);
+        let k = crate::compaction::chunk_count(&SchedulerConfig::default());
         let total = self.partitions[pid].read().l0_table_count();
         if k <= 1 || total == 0 {
             // Nothing to split (or a Matrix/SSD level-0, which drains
@@ -2686,7 +2768,6 @@ impl DbCore {
         let records_before = entries_in(&p) as u64;
         let report = p.major_compaction(
             &self.opts,
-            &self.pool,
             &self.device,
             &self.cache,
             &self.table_counter,
@@ -2844,6 +2925,21 @@ mod tests {
             max_table_bytes: 64 << 10,
             ..Options::default()
         }
+    }
+
+    #[test]
+    fn codec_costs_calibrate_at_open_unless_prefix() {
+        let calibrated = CodecCostTable::calibrate(&CostModel::default());
+        assert_ne!(calibrated, CodecCostTable::default());
+        let costs = |opts: Options| Db::open(opts).unwrap().core.codec_costs;
+        assert_eq!(costs(small_opts(Mode::PmBlade)), calibrated);
+        let mut prefix = small_opts(Mode::PmBlade);
+        prefix.pm_table.codec = pmtable::CodecMode::Prefix;
+        assert_eq!(costs(prefix), CodecCostTable::default());
+        assert_eq!(
+            costs(small_opts(Mode::SsdLevel0)),
+            CodecCostTable::default()
+        );
     }
 
     fn fill(db: &Db, n: usize, vlen: usize, tag: &str) {

@@ -4,10 +4,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use encoding::delta::CodecStats;
-use encoding::key::SequenceNumber;
+use encoding::key::{self, SequenceNumber};
 use pm_device::{PmPool, PmRegion, RegionId};
 use pmtable::{CodecMode, L0Table, OwnedEntry, PmTable, PmTableBuilder, PmTableOptions};
 use sim::Timeline;
+use sstable::table::{RawEntry, TableError};
 use sstable::SsTable;
 
 use crate::costmodel::{select_codec, CodecCostTable};
@@ -108,6 +109,39 @@ impl SsTableHandle {
     pub fn overlaps_handle_range(&self, first: &[u8], last: &[u8]) -> bool {
         self.first.as_slice() <= last && first <= self.last.as_slice()
     }
+
+    /// Up to `limit` entries of `[start, end)`, read by one bounded
+    /// scan that touches only the intersecting blocks.
+    pub fn read_range(
+        &self,
+        start: &[u8],
+        end: Option<&[u8]>,
+        limit: usize,
+        tl: &mut Timeline,
+    ) -> Result<Vec<OwnedEntry>, TableError> {
+        to_owned_entries(self.table.scan_range(start, end, limit, tl)?)
+    }
+
+    /// Every entry of the table (compaction input).
+    pub fn read_all(&self, tl: &mut Timeline) -> Result<Vec<OwnedEntry>, TableError> {
+        to_owned_entries(self.table.scan_all(tl)?)
+    }
+}
+
+/// The one place SSTable entries become [`OwnedEntry`]s. A read error
+/// or a bad kind byte fails the whole read: a caller that skipped the
+/// table would silently lose its rows (or resurrect older versions).
+fn to_owned_entries(raw: Vec<RawEntry>) -> Result<Vec<OwnedEntry>, TableError> {
+    raw.into_iter()
+        .map(|(ikey, value)| {
+            Ok(OwnedEntry {
+                user_key: key::user_key(&ikey).to_vec(),
+                seq: key::sequence(&ikey),
+                kind: key::kind(&ikey).ok_or(TableError::Corrupt("entry kind"))?,
+                value,
+            })
+        })
+        .collect()
 }
 
 impl std::fmt::Debug for SsTableHandle {

@@ -11,7 +11,7 @@
 //! Two read accelerators sit in front of the table probes:
 //!
 //! - each table's **bloom filter** (built at flush time when
-//!   `pm_filter_bits_per_key > 0`) is consulted before the table is
+//!   `pm_table.filter_bits_per_key > 0`) is consulted before the table is
 //!   searched, so most unsorted tables that merely *straddle* a key's
 //!   range are skipped without touching their meta layer;
 //! - a [`FenceIndex`] over the sorted run — a contiguous array of
@@ -167,27 +167,6 @@ impl PmLevel0 {
         self.sorted = run;
     }
 
-    /// Point lookup across level-0: newest unsorted table wins, then the
-    /// sorted run.
-    pub fn get(
-        &self,
-        user_key: &[u8],
-        snapshot: SequenceNumber,
-        tl: &mut Timeline,
-    ) -> Option<Lookup> {
-        let mut stats = ProbeStats::default();
-        get_in(
-            &self.unsorted,
-            &self.sorted,
-            &self.fence,
-            user_key,
-            snapshot,
-            tl,
-            None,
-            &mut stats,
-        )
-    }
-
     /// A cheap immutable copy of the current table set (Arc clones of
     /// the handles, no data copied). Because PM tables are never mutated
     /// after publication, the snapshot can be searched without holding
@@ -245,41 +224,31 @@ impl PmLevel0 {
         sources
     }
 
-    /// Detach up to `limit` of the *oldest* tables for a chunked major
-    /// compaction, returning their entries, PM regions, and group-cache
-    /// ids (for purging). The sorted run is always older than every
+    /// The `limit` *oldest* tables, oldest first: what a chunked major
+    /// compaction moves. The sorted run is always older than every
     /// unsorted table (it was built from all tables present at its
     /// creation; later flushes only append unsorted tables with strictly
     /// newer sequences), and unsorted tables age front-to-back — so
-    /// draining run-first/front-first guarantees any version left behind
+    /// moving run-first/front-first guarantees any version left behind
     /// in level-0 is newer than what moved down, and reads (level-0
     /// before level-1) stay correct between chunks.
-    pub fn take_oldest(
-        &mut self,
-        limit: usize,
-        tl: &mut Timeline,
-    ) -> (Vec<Vec<OwnedEntry>>, Vec<pm_device::RegionId>, Vec<u64>) {
+    pub fn oldest(&self, limit: usize) -> impl Iterator<Item = &PmTableHandle> {
+        self.sorted.iter().chain(&self.unsorted).take(limit)
+    }
+
+    /// Detach the tables [`PmLevel0::oldest`] names, returning their PM
+    /// regions and group-cache ids (for purging). The caller reads them
+    /// first, so a failed compaction never loses a table.
+    pub fn detach_oldest(&mut self, limit: usize) -> (Vec<pm_device::RegionId>, Vec<u64>) {
         let take_sorted = self.sorted.len().min(limit);
         let take_unsorted = self.unsorted.len().min(limit - take_sorted);
-        let mut sources = Vec::new();
-        let mut regions = Vec::new();
-        let mut cache_ids = Vec::new();
-        let mut run = Vec::new();
-        for handle in self.sorted.drain(..take_sorted) {
-            run.extend(handle.table.scan_all(tl));
-            regions.push(handle.region);
-            cache_ids.push(handle.cache_id);
-        }
-        if !run.is_empty() {
-            sources.push(run);
-        }
-        for handle in self.unsorted.drain(..take_unsorted) {
-            sources.push(handle.table.scan_all(tl));
-            regions.push(handle.region);
-            cache_ids.push(handle.cache_id);
-        }
+        let detached: Vec<PmTableHandle> = self
+            .sorted
+            .drain(..take_sorted)
+            .chain(self.unsorted.drain(..take_unsorted))
+            .collect();
         self.fence = Arc::new(FenceIndex::build(&self.sorted));
-        (sources, regions, cache_ids)
+        detached.iter().map(|h| (h.region, h.cache_id)).unzip()
     }
 
     /// Drop every table, freeing PM space. Returns bytes released and
@@ -353,17 +322,6 @@ pub struct PmL0Snapshot {
 }
 
 impl PmL0Snapshot {
-    /// Point lookup with the same semantics as [`PmLevel0::get`].
-    pub fn get(
-        &self,
-        user_key: &[u8],
-        snapshot: SequenceNumber,
-        tl: &mut Timeline,
-    ) -> Option<Lookup> {
-        let mut stats = ProbeStats::default();
-        self.get_with(user_key, snapshot, tl, None, &mut stats)
-    }
-
     /// Point lookup threading the shared group-decode cache and probe
     /// accounting. `cache` of `None` (or a zero-capacity cache) degrades
     /// to plain PM reads.
@@ -375,16 +333,49 @@ impl PmL0Snapshot {
         cache: Option<&PmGroupCache>,
         stats: &mut ProbeStats,
     ) -> Option<Lookup> {
-        get_in(
-            &self.unsorted,
-            &self.sorted,
-            &self.fence,
-            user_key,
-            snapshot,
-            tl,
-            cache,
-            stats,
-        )
+        // Unsorted tables are mutually overlapping: scan newest→oldest and
+        // take the newest visible version seen (a newer table always holds
+        // newer sequences for the keys it contains).
+        let mut best: Option<Lookup> = None;
+        for handle in self.unsorted.iter().rev() {
+            if !handle.overlaps_key(user_key) {
+                continue;
+            }
+            let had_filter = handle.table.has_filter();
+            if had_filter && filter_rules_out(handle, user_key, tl, stats) {
+                continue;
+            }
+            if let Some(hit) = probe_table(handle, user_key, snapshot, tl, cache, stats) {
+                match &best {
+                    Some(b) if b.seq >= hit.seq => {}
+                    _ => best = Some(hit),
+                }
+                // Tables are flushed in sequence order; the first hit
+                // from the newest table is final.
+                break;
+            } else if had_filter {
+                stats.filter_false_positives += 1;
+            }
+        }
+        if best.is_some() {
+            return best;
+        }
+        // Sorted run: the fence index names the only table that can contain
+        // the key (or proves none does).
+        debug_assert_eq!(self.fence.len(), self.sorted.len());
+        if let Some(idx) = self.fence.locate(user_key) {
+            let handle = &self.sorted[idx];
+            let had_filter = handle.table.has_filter();
+            if had_filter && filter_rules_out(handle, user_key, tl, stats) {
+                return None;
+            }
+            let hit = probe_table(handle, user_key, snapshot, tl, cache, stats);
+            if hit.is_none() && had_filter {
+                stats.filter_false_positives += 1;
+            }
+            return hit;
+        }
+        None
     }
 
     pub fn is_empty(&self) -> bool {
@@ -449,63 +440,6 @@ fn filter_rules_out(
     }
 }
 
-/// Shared lookup walk over an (unsorted, sorted) table set.
-#[allow(clippy::too_many_arguments)]
-fn get_in(
-    unsorted: &[PmTableHandle],
-    sorted: &[PmTableHandle],
-    fence: &FenceIndex,
-    user_key: &[u8],
-    snapshot: SequenceNumber,
-    tl: &mut Timeline,
-    cache: Option<&PmGroupCache>,
-    stats: &mut ProbeStats,
-) -> Option<Lookup> {
-    // Unsorted tables are mutually overlapping: scan newest→oldest and
-    // take the newest visible version seen (a newer table always holds
-    // newer sequences for the keys it contains).
-    let mut best: Option<Lookup> = None;
-    for handle in unsorted.iter().rev() {
-        if !handle.overlaps_key(user_key) {
-            continue;
-        }
-        let had_filter = handle.table.has_filter();
-        if had_filter && filter_rules_out(handle, user_key, tl, stats) {
-            continue;
-        }
-        if let Some(hit) = probe_table(handle, user_key, snapshot, tl, cache, stats) {
-            match &best {
-                Some(b) if b.seq >= hit.seq => {}
-                _ => best = Some(hit),
-            }
-            // Tables are flushed in sequence order; the first hit
-            // from the newest table is final.
-            break;
-        } else if had_filter {
-            stats.filter_false_positives += 1;
-        }
-    }
-    if best.is_some() {
-        return best;
-    }
-    // Sorted run: the fence index names the only table that can contain
-    // the key (or proves none does).
-    debug_assert_eq!(fence.len(), sorted.len());
-    if let Some(idx) = fence.locate(user_key) {
-        let handle = &sorted[idx];
-        let had_filter = handle.table.has_filter();
-        if had_filter && filter_rules_out(handle, user_key, tl, stats) {
-            return None;
-        }
-        let hit = probe_table(handle, user_key, snapshot, tl, cache, stats);
-        if hit.is_none() && had_filter {
-            stats.filter_false_positives += 1;
-        }
-        return hit;
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -553,6 +487,12 @@ mod tests {
         .unwrap()
     }
 
+    /// Point lookup through a fresh snapshot, as the engine reads.
+    fn get(l0: &PmLevel0, key: &[u8], snapshot: u64, tl: &mut Timeline) -> Option<Lookup> {
+        l0.snapshot()
+            .get_with(key, snapshot, tl, None, &mut ProbeStats::default())
+    }
+
     fn pool() -> std::sync::Arc<PmPool> {
         PmPool::new(8 << 20, CostModel::default())
     }
@@ -563,7 +503,7 @@ mod tests {
         let mut tl = Timeline::new();
         assert!(l0.is_empty());
         assert_eq!(l0.bytes(), 0);
-        assert!(l0.get(b"k", u64::MAX, &mut tl).is_none());
+        assert!(get(&l0, b"k", u64::MAX, &mut tl).is_none());
     }
 
     #[test]
@@ -573,10 +513,10 @@ mod tests {
         l0.push_unsorted(table(&pool, vec![entry("k", 1, "old")]));
         l0.push_unsorted(table(&pool, vec![entry("k", 9, "new")]));
         let mut tl = Timeline::new();
-        assert_eq!(l0.get(b"k", u64::MAX, &mut tl).unwrap().value, b"new");
+        assert_eq!(get(&l0, b"k", u64::MAX, &mut tl).unwrap().value, b"new");
         // Snapshot below the newer version falls through to the older
         // table.
-        assert_eq!(l0.get(b"k", 5, &mut tl).unwrap().value, b"old");
+        assert_eq!(get(&l0, b"k", 5, &mut tl).unwrap().value, b"old");
     }
 
     #[test]
@@ -589,9 +529,9 @@ mod tests {
         ]);
         l0.push_unsorted(table(&pool, vec![entry("b", 9, "fresh")]));
         let mut tl = Timeline::new();
-        assert_eq!(l0.get(b"m", u64::MAX, &mut tl).unwrap().value, b"3");
-        assert_eq!(l0.get(b"b", u64::MAX, &mut tl).unwrap().value, b"fresh");
-        assert!(l0.get(b"q", u64::MAX, &mut tl).is_none());
+        assert_eq!(get(&l0, b"m", u64::MAX, &mut tl).unwrap().value, b"3");
+        assert_eq!(get(&l0, b"b", u64::MAX, &mut tl).unwrap().value, b"fresh");
+        assert!(get(&l0, b"q", u64::MAX, &mut tl).is_none());
         assert_eq!(l0.sorted_count(), 2);
         assert_eq!(l0.unsorted_count(), 1);
     }
@@ -612,7 +552,7 @@ mod tests {
         assert_eq!(l0.sorted_count(), 1);
         assert!(pool.used() < before);
         let mut tl = Timeline::new();
-        assert_eq!(l0.get(b"a", u64::MAX, &mut tl).unwrap().value, b"y");
+        assert_eq!(get(&l0, b"a", u64::MAX, &mut tl).unwrap().value, b"y");
     }
 
     #[test]
@@ -662,8 +602,15 @@ mod tests {
         assert_eq!(fence.locate(b"f"), None);
         assert_eq!(fence.locate(b"z"), None);
         let mut tl = Timeline::new();
-        assert_eq!(snap.get(b"h", u64::MAX, &mut tl).unwrap().value, b"3");
-        assert!(snap.get(b"f", u64::MAX, &mut tl).is_none());
+        assert_eq!(
+            snap.get_with(b"h", u64::MAX, &mut tl, None, &mut ProbeStats::default())
+                .unwrap()
+                .value,
+            b"3"
+        );
+        assert!(snap
+            .get_with(b"f", u64::MAX, &mut tl, None, &mut ProbeStats::default())
+            .is_none());
     }
 
     #[test]

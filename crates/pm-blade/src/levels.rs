@@ -1,7 +1,7 @@
 //! The SSD levels (level-1 and below) of one partition.
 //!
 //! Each level is a sorted run of non-overlapping SSTables. Level `n` has
-//! a target size of `l1_target * multiplier^(n-1)`; when it overflows,
+//! a target size of `l1_target * LEVEL_MULTIPLIER^(n-1)`; when it overflows,
 //! the whole level is merged into level `n+1` (a whole-level leveled
 //! policy — adequate at the reproduction's scale and identical in
 //! write-amplification shape to per-table picking).
@@ -9,10 +9,11 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use encoding::key::{self, SequenceNumber};
+use encoding::key::SequenceNumber;
 use pmtable::{Lookup, OwnedEntry};
 use sim::Timeline;
 use ssd_device::SsdDevice;
+use sstable::table::TableError;
 use sstable::{BlockCache, SsTable, SsTableBuilder, SsTableOptions};
 
 use crate::handle::SsTableHandle;
@@ -27,8 +28,13 @@ pub struct SsdReadStats {
     pub levels_searched: u64,
 }
 
-/// SSD level stack for one partition.
-#[derive(Default)]
+/// Size ratio between adjacent SSD levels: level `n` targets
+/// `l1_target * LEVEL_MULTIPLIER^(n-1)` bytes.
+pub const LEVEL_MULTIPLIER: u64 = 10;
+
+/// SSD level stack for one partition. Cloning copies only the table
+/// handles (`Arc`s), so a compaction can stage a new version on a copy.
+#[derive(Clone, Default)]
 pub struct SsdLevels {
     /// `levels[0]` is level-1. Each inner vec is sorted by key range.
     pub levels: Vec<Vec<SsTableHandle>>,
@@ -64,9 +70,15 @@ impl SsdLevels {
         self.levels.iter().all(|l| l.is_empty())
     }
 
+    /// Does any level hold the table named `name`?
+    pub fn contains(&self, name: &str) -> bool {
+        self.levels.iter().flatten().any(|h| h.name == name)
+    }
+
     /// Point lookup: walk levels top-down; within a level at most one
     /// table overlaps. Returns the hit plus the 1-based level that
-    /// served it (for the per-level read-source metrics).
+    /// served it (for the per-level read-source metrics), and counts
+    /// the probes into `stats` for the request tracer.
     ///
     /// A table-read failure propagates instead of being skipped: a
     /// deeper level may hold an *older* version of the key, so falling
@@ -76,19 +88,8 @@ impl SsdLevels {
         user_key: &[u8],
         snapshot: SequenceNumber,
         tl: &mut Timeline,
-    ) -> Result<Option<(Lookup, usize)>, sstable::table::TableError> {
-        let mut stats = SsdReadStats::default();
-        self.get_with_stats(user_key, snapshot, tl, &mut stats)
-    }
-
-    /// [`SsdLevels::get`] with per-get probe accounting for tracing.
-    pub fn get_with_stats(
-        &self,
-        user_key: &[u8],
-        snapshot: SequenceNumber,
-        tl: &mut Timeline,
         stats: &mut SsdReadStats,
-    ) -> Result<Option<(Lookup, usize)>, sstable::table::TableError> {
+    ) -> Result<Option<(Lookup, usize)>, TableError> {
         for (depth, level) in self.levels.iter().enumerate() {
             stats.levels_searched += 1;
             let idx = level.partition_point(|h| h.last.as_slice() < user_key);
@@ -110,13 +111,14 @@ impl SsdLevels {
     }
 
     /// Range scan sources, one per level (each level is itself sorted).
+    /// An unreadable table fails the scan rather than dropping its rows.
     pub fn scan_sources(
         &self,
         start: &[u8],
         end: Option<&[u8]>,
         limit: usize,
         tl: &mut Timeline,
-    ) -> Vec<Vec<OwnedEntry>> {
+    ) -> Result<Vec<Vec<OwnedEntry>>, TableError> {
         let mut sources = Vec::new();
         for level in &self.levels {
             let mut run = Vec::new();
@@ -127,25 +129,27 @@ impl SsdLevels {
                 if run.len() >= limit {
                     break;
                 }
-                // Bounded scan: touches only the intersecting blocks.
-                let hits = handle
-                    .table
-                    .scan_range(start, end, limit - run.len(), tl)
-                    .unwrap_or_default();
-                for (ikey, value) in hits {
-                    run.push(OwnedEntry {
-                        user_key: key::user_key(&ikey).to_vec(),
-                        seq: key::sequence(&ikey),
-                        kind: key::kind(&ikey).expect("valid kind"),
-                        value,
-                    });
-                }
+                run.extend(handle.read_range(start, end, limit - run.len(), tl)?);
             }
             if !run.is_empty() {
                 sources.push(run);
             }
         }
-        sources
+        Ok(sources)
+    }
+
+    /// Every entry of level `n` (1-based; empty past the deepest level),
+    /// the input of a whole-level merge.
+    pub fn read_level(
+        &self,
+        level: usize,
+        tl: &mut Timeline,
+    ) -> Result<Vec<OwnedEntry>, TableError> {
+        let mut run = Vec::new();
+        for handle in self.levels.get(level - 1).into_iter().flatten() {
+            run.extend(handle.read_all(tl)?);
+        }
+        Ok(run)
     }
 
     /// Install `tables` as the new level `n`, returning the old tables
@@ -166,14 +170,11 @@ impl SsdLevels {
     pub fn overlapping(&self, level: usize, first: &[u8], last: &[u8]) -> Vec<SsTableHandle> {
         self.levels
             .get(level - 1)
-            .map(|tables| {
-                tables
-                    .iter()
-                    .filter(|t| t.overlaps_handle_range(first, last))
-                    .cloned()
-                    .collect()
-            })
-            .unwrap_or_default()
+            .into_iter()
+            .flatten()
+            .filter(|t| t.overlaps_handle_range(first, last))
+            .cloned()
+            .collect()
     }
 }
 
@@ -202,7 +203,7 @@ pub fn build_ss_tables(
     max_bytes: usize,
     opts: SsTableOptions,
     tl: &mut Timeline,
-) -> Result<Vec<SsTableHandle>, sstable::table::TableError> {
+) -> Result<Vec<SsTableHandle>, TableError> {
     let mut out = Vec::new();
     let mut iter = entries.iter().peekable();
     while iter.peek().is_some() {
@@ -290,15 +291,25 @@ mod tests {
         let mut levels = SsdLevels::new();
         levels.replace_level(1, t1);
         levels.replace_level(2, t2);
+        let mut stats = SsdReadStats::default();
         // Key in both levels: L1 wins (and reports level 1).
-        let (hit, level) = levels.get(b"k0050", u64::MAX, &mut tl).unwrap().unwrap();
+        let (hit, level) = levels
+            .get(b"k0050", u64::MAX, &mut tl, &mut stats)
+            .unwrap()
+            .unwrap();
         assert_eq!(hit.value, b"l1");
         assert_eq!(level, 1);
         // Key only in L2.
-        let (hit, level) = levels.get(b"k0150", u64::MAX, &mut tl).unwrap().unwrap();
+        let (hit, level) = levels
+            .get(b"k0150", u64::MAX, &mut tl, &mut stats)
+            .unwrap()
+            .unwrap();
         assert_eq!(hit.value, b"l2");
         assert_eq!(level, 2);
-        assert!(levels.get(b"k9999", u64::MAX, &mut tl).unwrap().is_none());
+        assert!(levels
+            .get(b"k9999", u64::MAX, &mut tl, &mut stats)
+            .unwrap()
+            .is_none());
         assert_eq!(levels.depth(), 2);
         assert!(levels.total_bytes() > 0);
     }
@@ -386,7 +397,9 @@ mod tests {
         .unwrap();
         let mut levels = SsdLevels::new();
         levels.replace_level(1, tables);
-        let sources = levels.scan_sources(b"k010", Some(b"k020"), usize::MAX, &mut tl);
+        let sources = levels
+            .scan_sources(b"k010", Some(b"k020"), usize::MAX, &mut tl)
+            .unwrap();
         assert_eq!(sources.len(), 1);
         assert_eq!(sources[0].len(), 10);
         assert_eq!(sources[0][0].user_key, b"k010");
@@ -411,7 +424,10 @@ mod tests {
         .unwrap();
         let mut levels = SsdLevels::new();
         levels.replace_level(1, tables);
-        let (hit, _) = levels.get(b"gone", u64::MAX, &mut tl).unwrap().unwrap();
+        let (hit, _) = levels
+            .get(b"gone", u64::MAX, &mut tl, &mut SsdReadStats::default())
+            .unwrap()
+            .unwrap();
         assert_eq!(hit.kind, KeyKind::Delete);
     }
 }

@@ -19,7 +19,7 @@
 //! [`PartitionVersion`] per transition (last-writer-wins on replay)
 //! rather than incremental add/remove deltas: a version is a few dozen
 //! table references at this scale, and whole-version edits make replay
-//! trivially idempotent. Every `manifest_snapshot_every` edits the log
+//! trivially idempotent. Every [`SNAPSHOT_EVERY`] edits the log
 //! is rewritten as a fresh snapshot file and the `CURRENT` pointer is
 //! swapped via atomic rename, so the log never grows without bound.
 
@@ -356,6 +356,10 @@ fn decode_frames(raw: &[u8]) -> Vec<VersionEdit> {
     }
     out
 }
+
+/// Edits between full-snapshot rewrites of the engine's manifest,
+/// bounding recovery replay length.
+pub const SNAPSHOT_EVERY: u64 = 64;
 
 /// An open manifest log: the durable source of truth for the table set.
 pub struct Manifest {

@@ -8,6 +8,10 @@
 //! the next, cheaper than a fresh binary search per row but still
 //! touching every row.
 //!
+//! This model keeps the rows and the cross-hint reads but not the
+//! columns: a major compaction drains the whole container into level-1
+//! in one merge.
+//!
 //! The properties the paper's comparisons rely on, and which this model
 //! reproduces:
 //!
@@ -16,8 +20,8 @@
 //!   MatrixKV-80GB loses the Load workload in Fig 12;
 //! - reads touch every row even with hints (no internal compaction), so
 //!   read amplification grows with the row count;
-//! - eviction is *whole-container* in column slices: no hot-data
-//!   retention, so the PM hit ratio decays (Fig 8(b), Fig 11).
+//! - eviction is *whole-container*: no hot-data retention, so the PM
+//!   hit ratio decays (Fig 8(b), Fig 11).
 
 use encoding::key::SequenceNumber;
 use pm_device::{PmPool, PmRegion, RegionId};
@@ -37,18 +41,14 @@ struct Row {
 }
 
 /// The matrix container.
+#[derive(Default)]
 pub struct MatrixL0 {
     rows: Vec<Row>,
-    /// Column slices per container compaction (`matrix_columns`).
-    columns: usize,
 }
 
 impl MatrixL0 {
-    pub fn new(columns: usize) -> Self {
-        MatrixL0 {
-            rows: Vec::new(),
-            columns: columns.max(1),
-        }
+    pub fn new() -> Self {
+        MatrixL0::default()
     }
 
     pub fn rows(&self) -> usize {
@@ -65,10 +65,6 @@ impl MatrixL0 {
 
     pub fn is_empty(&self) -> bool {
         self.rows.is_empty()
-    }
-
-    pub fn column_count(&self) -> usize {
-        self.columns
     }
 
     /// Flush a frozen memtable into a new row. Charges the array-table
@@ -194,26 +190,23 @@ impl MatrixL0 {
             .collect()
     }
 
-    /// Drain the container for column compaction: the caller merges these
-    /// sources column-by-column into level-1. Rows are consumed.
-    pub fn drain_sources(&mut self, tl: &mut Timeline) -> Vec<Vec<OwnedEntry>> {
+    /// `(first, last)` user key of every row.
+    pub fn key_ranges(&self) -> impl Iterator<Item = (&[u8], &[u8])> {
+        self.rows
+            .iter()
+            .map(|row| (row.first.as_slice(), row.last.as_slice()))
+    }
+
+    /// Every row's entries, newest row last: the input of a major
+    /// compaction. Rows stay until [`MatrixL0::take_regions`].
+    pub fn scan_all_sources(&self, tl: &mut Timeline) -> Vec<Vec<OwnedEntry>> {
         self.rows.iter().map(|row| row.table.scan_all(tl)).collect()
     }
 
-    /// Region ids to free after [`MatrixL0::drain_sources`].
+    /// Drop every row after a major compaction read it, returning the
+    /// regions to free.
     pub fn take_regions(&mut self) -> Vec<RegionId> {
         self.rows.drain(..).map(|r| r.region).collect()
-    }
-
-    /// Split sorted merged entries into `columns` key-range slices — the
-    /// column compaction granularity (each slice becomes one fine-grained
-    /// compaction unit).
-    pub fn column_slices<'a>(&self, merged: &'a [OwnedEntry]) -> Vec<&'a [OwnedEntry]> {
-        if merged.is_empty() {
-            return Vec::new();
-        }
-        let per = merged.len().div_ceil(self.columns);
-        merged.chunks(per.max(1)).collect()
     }
 }
 
@@ -260,7 +253,7 @@ mod tests {
     #[test]
     fn flush_and_get_across_rows() {
         let (pool, opts) = setup();
-        let mut m = MatrixL0::new(4);
+        let mut m = MatrixL0::new();
         let mut tl = Timeline::new();
         m.flush_row(&entries(1, 50), &opts, &pool, &mut tl).unwrap();
         m.flush_row(&entries(1000, 50), &opts, &pool, &mut tl)
@@ -281,9 +274,9 @@ mod tests {
         let rows = entries(1, 200);
         let mut with = Timeline::new();
         let mut without = Timeline::new();
-        let mut m1 = MatrixL0::new(4);
+        let mut m1 = MatrixL0::new();
         m1.flush_row(&rows, &base_opts, &pool, &mut with).unwrap();
-        let mut m2 = MatrixL0::new(4);
+        let mut m2 = MatrixL0::new();
         let cheap = Options {
             matrix_flush_overhead: 0.0,
             ..base_opts.clone()
@@ -295,11 +288,11 @@ mod tests {
     #[test]
     fn drain_and_take_regions_free_space() {
         let (pool, opts) = setup();
-        let mut m = MatrixL0::new(4);
+        let mut m = MatrixL0::new();
         let mut tl = Timeline::new();
         m.flush_row(&entries(1, 20), &opts, &pool, &mut tl).unwrap();
         assert!(m.bytes() > 0);
-        let sources = m.drain_sources(&mut tl);
+        let sources = m.scan_all_sources(&mut tl);
         assert_eq!(sources.len(), 1);
         assert_eq!(sources[0].len(), 20);
         for region in m.take_regions() {
@@ -310,24 +303,9 @@ mod tests {
     }
 
     #[test]
-    fn column_slices_cover_everything() {
-        let m = MatrixL0::new(4);
-        let merged = entries(1, 103);
-        let slices = m.column_slices(&merged);
-        assert_eq!(slices.len(), 4);
-        let total: usize = slices.iter().map(|s| s.len()).sum();
-        assert_eq!(total, 103);
-        // Slices are contiguous key ranges.
-        for pair in slices.windows(2) {
-            assert!(pair[0].last().unwrap().user_key < pair[1].first().unwrap().user_key);
-        }
-        assert!(m.column_slices(&[]).is_empty());
-    }
-
-    #[test]
     fn scan_sources_filters_range() {
         let (pool, opts) = setup();
-        let mut m = MatrixL0::new(4);
+        let mut m = MatrixL0::new();
         let mut tl = Timeline::new();
         m.flush_row(&entries(1, 30), &opts, &pool, &mut tl).unwrap();
         let sources = m.scan_sources(b"k00010", Some(b"k00030"), usize::MAX, &mut tl);

@@ -3,7 +3,6 @@
 use pmtable::{CodecMode, MetaExtractor, PmTableOptions};
 use sim::{CostModel, SimDuration};
 
-use crate::costmodel::CodecCostTable;
 use crate::telemetry::{EventListener, ListenerSet};
 
 /// Which system the engine behaves as — the paper's comparison matrix.
@@ -20,7 +19,8 @@ pub enum Mode {
     /// and major compaction triggers at `l0_table_trigger` tables.
     SsdLevel0,
     /// MatrixKV-like: PM level-0 organised as a matrix container with
-    /// column compaction and cross-hint search, no hot retention.
+    /// cross-hint search, drained whole by major compaction (column
+    /// compaction is not modelled), no hot retention.
     MatrixKv,
 }
 
@@ -137,49 +137,36 @@ pub struct Options {
     pub tau_t: usize,
     /// Cost scalars for Eqs 1–3.
     pub scalars: CostScalars,
-    /// PM table encoding options. `Db::open` copies
-    /// [`Options::pm_filter_bits_per_key`] into
-    /// `pm_table.filter_bits_per_key` and [`Options::pm_codec_mode`]
-    /// into `pm_table.codec`, so the engine-level knobs win.
+    /// PM table encoding options for every flush and compaction.
+    ///
+    /// - `filter_bits_per_key` (default 10): bloom-filter budget per
+    ///   distinct user key (RocksDB-style; 10 ≈ 1% false positives),
+    ///   capped at 64. 0 disables the filters entirely — every `get`
+    ///   walks the group search of every overlapping table, the
+    ///   pre-acceleration read path.
+    /// - `codec` (default [`CodecMode::Auto`]): the per-flush codec
+    ///   policy. `Auto` analyzes each flush batch's key shape and picks
+    ///   the codec minimizing PM bytes plus decode cost against a cost
+    ///   table `Db::open` calibrates on the virtual clock; the other
+    ///   variants force one codec for every flush (each group still
+    ///   falls back to prefix encoding when the forced codec cannot
+    ///   represent it or would grow the group).
     pub pm_table: PmTableOptions,
-    /// Per-flush codec policy for PM level-0 tables:
-    /// [`CodecMode::Auto`] (the default) analyzes each flush batch's key
-    /// shape and picks the codec minimizing PM bytes plus decode cost
-    /// against the calibrated [`Options::codec_costs`]; the other
-    /// variants force one codec for every flush (each group still falls
-    /// back to prefix encoding when the forced codec cannot represent
-    /// it or would grow the group).
-    pub pm_codec_mode: CodecMode,
-    /// Measured per-codec decode cost and density feeding codec
-    /// selection and the Eq 1/Eq 2 decode terms. The zero default makes
-    /// codec selection resolve to the prefix baseline; `Db::open`
-    /// replaces it with [`CodecCostTable::calibrate`] of
-    /// [`Options::cost`].
-    pub codec_costs: CodecCostTable,
-    /// Bloom-filter budget for PM level-0 tables, in bits per distinct
-    /// user key (RocksDB-style; 10 ≈ 1% false positives). 0 disables
-    /// the filters entirely — every `get` walks the group search of
-    /// every overlapping table, the pre-acceleration read path.
-    pub pm_filter_bits_per_key: usize,
     /// DRAM capacity of the shared decoded-group cache for PM level-0
     /// reads, in bytes. Charged like [`Options::block_cache_bytes`]; 0
     /// disables the cache (every lookup decodes its group from PM).
     pub pm_group_cache_bytes: usize,
     /// Level-1 target size per partition; level n target is
-    /// `l1_target * level_multiplier^(n-1)`.
+    /// `l1_target * LEVEL_MULTIPLIER^(n-1)` (see
+    /// [`crate::levels::LEVEL_MULTIPLIER`]).
     pub l1_target: usize,
-    pub level_multiplier: usize,
     /// Max bytes per output table (PM table or SSTable) in compactions.
     pub max_table_bytes: usize,
     /// DRAM block-cache capacity for SSD reads.
     pub block_cache_bytes: usize,
-    /// Compaction scheduler profile for major compaction timing.
-    pub scheduler: coroutine::SchedulerConfig,
     /// MatrixKV: extra flush construction overhead (fraction of the
     /// flush cost spent building the matrix cross-hint structure).
     pub matrix_flush_overhead: f64,
-    /// MatrixKV: number of column slices per container compaction.
-    pub matrix_columns: usize,
     /// Directory for the write-ahead log; `None` disables the WAL.
     pub wal_dir: Option<std::path::PathBuf>,
     /// WAL segment size: the active segment rotates once it exceeds
@@ -187,9 +174,6 @@ pub struct Options {
     /// flush checkpoints are deleted. Only meaningful with
     /// [`Options::wal_dir`] set.
     pub wal_segment_bytes: usize,
-    /// Rewrite the manifest as a full snapshot (and swap `CURRENT`)
-    /// every this many edits, bounding recovery replay length.
-    pub manifest_snapshot_every: u64,
     /// Crash-injection plan threaded into every durable device (WAL,
     /// manifest, PM backing, SSD backing). `None` in production;
     /// recovery tests install a plan to kill the virtual process at a
@@ -226,9 +210,6 @@ pub struct Options {
     /// Memtable debt multiple that stalls writes. Must exceed
     /// [`Options::memtable_slowdown_debt`].
     pub memtable_stall_debt: usize,
-    /// Virtual-time penalty charged to each write admitted under
-    /// slowdown (the RocksDB `delayed_write_rate` analogue).
-    pub slowdown_delay: SimDuration,
     /// Sample 1 in N engine-originated requests for end-to-end stage
     /// tracing; 0 disables sampling entirely (wire-carried sampled
     /// contexts are still honored). Sampling only observes the virtual
@@ -262,23 +243,16 @@ impl Default for Options {
             pm_table: PmTableOptions {
                 group_size: 16,
                 extractor: MetaExtractor::None,
-                filter_bits_per_key: 0,
-                codec: CodecMode::Prefix,
+                filter_bits_per_key: 10,
+                codec: CodecMode::Auto,
             },
-            pm_codec_mode: CodecMode::Auto,
-            codec_costs: CodecCostTable::default(),
-            pm_filter_bits_per_key: 10,
             pm_group_cache_bytes: 4 << 20,
             l1_target: 8 << 20,
-            level_multiplier: 10,
             max_table_bytes: 2 << 20,
             block_cache_bytes: 8 << 20,
-            scheduler: coroutine::SchedulerConfig::default(),
             matrix_flush_overhead: 0.6,
-            matrix_columns: 8,
             wal_dir: None,
             wal_segment_bytes: 4 << 20,
-            manifest_snapshot_every: 64,
             fault_plan: None,
             event_log_capacity: 1024,
             listeners: ListenerSet::new(),
@@ -288,7 +262,6 @@ impl Default for Options {
             l0_stall_trigger: 24,
             memtable_slowdown_debt: 2,
             memtable_stall_debt: 4,
-            slowdown_delay: SimDuration::from_micros(100),
             trace_sample_every: 1024,
             trace_slow_query_nanos: 0,
             trace_recorder_capacity: 256,
@@ -410,11 +383,6 @@ impl OptionsBuilder {
         self
     }
 
-    pub fn level_multiplier(mut self, multiplier: usize) -> Self {
-        self.opts.level_multiplier = multiplier;
-        self
-    }
-
     pub fn max_table_bytes(mut self, bytes: usize) -> Self {
         self.opts.max_table_bytes = bytes;
         self
@@ -425,25 +393,14 @@ impl OptionsBuilder {
         self
     }
 
-    pub fn pm_filter_bits_per_key(mut self, bits: usize) -> Self {
-        self.opts.pm_filter_bits_per_key = bits;
+    /// PM table encoding: bloom-filter bits per key and codec policy.
+    pub fn pm_table(mut self, pm_table: PmTableOptions) -> Self {
+        self.opts.pm_table = pm_table;
         self
     }
 
     pub fn pm_group_cache_bytes(mut self, bytes: usize) -> Self {
         self.opts.pm_group_cache_bytes = bytes;
-        self
-    }
-
-    /// Per-flush codec policy for PM level-0 tables (`Auto` analyzes
-    /// each flush batch; the other variants force one codec).
-    pub fn pm_codec_mode(mut self, mode: CodecMode) -> Self {
-        self.opts.pm_codec_mode = mode;
-        self
-    }
-
-    pub fn matrix_columns(mut self, columns: usize) -> Self {
-        self.opts.matrix_columns = columns;
         self
     }
 
@@ -454,11 +411,6 @@ impl OptionsBuilder {
 
     pub fn wal_segment_bytes(mut self, bytes: usize) -> Self {
         self.opts.wal_segment_bytes = bytes;
-        self
-    }
-
-    pub fn manifest_snapshot_every(mut self, edits: u64) -> Self {
-        self.opts.manifest_snapshot_every = edits;
         self
     }
 
@@ -500,16 +452,6 @@ impl OptionsBuilder {
 
     pub fn memtable_stall_debt(mut self, multiples: usize) -> Self {
         self.opts.memtable_stall_debt = multiples;
-        self
-    }
-
-    pub fn slowdown_delay(mut self, delay: SimDuration) -> Self {
-        self.opts.slowdown_delay = delay;
-        self
-    }
-
-    pub fn scheduler(mut self, cfg: coroutine::SchedulerConfig) -> Self {
-        self.opts.scheduler = cfg;
         self
     }
 
@@ -588,25 +530,16 @@ impl OptionsBuilder {
         if o.max_table_bytes == 0 {
             return fail("max_table_bytes must be positive".into());
         }
-        if o.pm_filter_bits_per_key > 64 {
+        if o.pm_table.filter_bits_per_key > 64 {
             return fail(format!(
-                "pm_filter_bits_per_key ({}) is capped at 64: past that \
-                 the false-positive rate no longer improves and the \
+                "pm_table.filter_bits_per_key ({}) is capped at 64: past \
+                 that the false-positive rate no longer improves and the \
                  filter section just burns PM",
-                o.pm_filter_bits_per_key
+                o.pm_table.filter_bits_per_key
             ));
         }
         if o.l1_target == 0 {
             return fail("l1_target must be positive".into());
-        }
-        if o.level_multiplier < 2 {
-            return fail(format!(
-                "level_multiplier ({}) must be at least 2",
-                o.level_multiplier
-            ));
-        }
-        if o.mode == Mode::MatrixKv && o.matrix_columns == 0 {
-            return fail("matrix_columns must be at least 1".into());
         }
         if o.l0_unsorted_hard_cap == 0 {
             return fail("l0_unsorted_hard_cap must be at least 1".into());
@@ -619,13 +552,6 @@ impl OptionsBuilder {
         }
         if o.wal_segment_bytes == 0 {
             return fail("wal_segment_bytes must be positive".into());
-        }
-        if o.manifest_snapshot_every == 0 {
-            return fail(
-                "manifest_snapshot_every must be at least 1 \
-                 (the manifest log must eventually compact)"
-                    .into(),
-            );
         }
         if o.maintenance_workers == 0 {
             return fail(
@@ -663,12 +589,6 @@ impl OptionsBuilder {
                  trace_sample_every is 0)"
                     .into(),
             );
-        }
-        if o.scheduler.cores == 0 {
-            return fail("scheduler.cores must be at least 1".into());
-        }
-        if o.scheduler.max_io == 0 {
-            return fail("scheduler.max_io must be at least 1".into());
         }
         Ok(self.opts)
     }
@@ -746,13 +666,16 @@ mod tests {
             .partitioner(Partitioner::Ranges(vec![b"m".to_vec(), b"f".to_vec(),]))
             .build())
         .contains("ascending"));
-        assert!(msg(Options::builder().level_multiplier(1).build()).contains("level_multiplier"));
         assert!(msg(Options::builder().max_table_bytes(0).build()).contains("max_table_bytes"));
-        assert!(msg(Options::builder().pm_filter_bits_per_key(65).build())
-            .contains("pm_filter_bits_per_key"));
+        let bits = |filter_bits_per_key| PmTableOptions {
+            filter_bits_per_key,
+            ..Options::default().pm_table
+        };
+        assert!(msg(Options::builder().pm_table(bits(65)).build())
+            .contains("pm_table.filter_bits_per_key"));
         // 0 legitimately disables the filter and the cache.
         assert!(Options::builder()
-            .pm_filter_bits_per_key(0)
+            .pm_table(bits(0))
             .pm_group_cache_bytes(0)
             .build()
             .is_ok());
@@ -760,8 +683,6 @@ mod tests {
             msg(Options::builder().event_log_capacity(0).build()).contains("event_log_capacity")
         );
         assert!(msg(Options::builder().wal_segment_bytes(0).build()).contains("wal_segment_bytes"));
-        assert!(msg(Options::builder().manifest_snapshot_every(0).build())
-            .contains("manifest_snapshot_every"));
         assert!(msg(Options::builder().trace_recorder_capacity(0).build())
             .contains("trace_recorder_capacity"));
         // Sampling off is a legal steady state.
@@ -805,18 +726,6 @@ mod tests {
         assert!(
             msg(Options::builder().l0_slowdown_trigger(0).build()).contains("l0_slowdown_trigger")
         );
-        // SchedulerConfig sanity: zero cores or a zero I/O window would
-        // wedge the §V admission policy.
-        let bad_cores = coroutine::SchedulerConfig {
-            cores: 0,
-            ..Default::default()
-        };
-        assert!(msg(Options::builder().scheduler(bad_cores).build()).contains("scheduler.cores"));
-        let bad_io = coroutine::SchedulerConfig {
-            max_io: 0,
-            ..Default::default()
-        };
-        assert!(msg(Options::builder().scheduler(bad_io).build()).contains("scheduler.max_io"));
         // A consistent background configuration passes.
         let opts = Options::builder()
             .maintenance(MaintenanceMode::Background)
@@ -830,19 +739,22 @@ mod tests {
     }
 
     #[test]
-    fn codec_mode_knob_defaults_to_auto_with_zero_cost_table() {
+    fn pm_table_knobs_default_to_auto_codec_and_ten_filter_bits() {
         let opts = Options::default();
-        assert_eq!(opts.pm_codec_mode, CodecMode::Auto);
-        // The raw table options stay prefix so directly-constructed
-        // builders keep byte-stable output; `Db::open` projects the
-        // engine knob (and a calibrated cost table) on top.
-        assert_eq!(opts.pm_table.codec, CodecMode::Prefix);
-        assert_eq!(opts.codec_costs, CodecCostTable::default());
+        assert_eq!(opts.pm_table.codec, CodecMode::Auto);
+        assert_eq!(opts.pm_table.filter_bits_per_key, 10);
+        // `PmTableOptions::default()` stays prefix and unfiltered, so
+        // directly-constructed table builders keep byte-stable output.
+        assert_eq!(PmTableOptions::default().codec, CodecMode::Prefix);
         let built = Options::builder()
-            .pm_codec_mode(CodecMode::Delta)
+            .pm_table(PmTableOptions {
+                codec: CodecMode::Delta,
+                ..opts.pm_table
+            })
             .build()
             .unwrap();
-        assert_eq!(built.pm_codec_mode, CodecMode::Delta);
+        assert_eq!(built.pm_table.codec, CodecMode::Delta);
+        assert_eq!(built.pm_table.filter_bits_per_key, 10);
     }
 
     #[test]

@@ -7,27 +7,47 @@
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
-use encoding::key::{KeyKind, SequenceNumber};
+use encoding::key::SequenceNumber;
 use memtable::MemTable;
 use pm_device::PmPool;
-use pmtable::{Lookup, OwnedEntry};
+use pmtable::{L0Table, Lookup, OwnedEntry};
 use sim::{CostModel, SimInstant, Timeline};
 use ssd_device::SsdDevice;
+use sstable::table::TableError;
 use sstable::{BlockCache, SsTableOptions};
 
-use crate::costmodel::PartitionCounters;
+use crate::costmodel::{CodecCostTable, PartitionCounters};
 use crate::handle::{build_pm_tables, merge_dedup, CacheIds, SsTableHandle};
 use crate::level0::PmLevel0;
-use crate::levels::{build_ss_tables, SsdLevels};
+use crate::levels::{build_ss_tables, SsdLevels, LEVEL_MULTIPLIER};
 use crate::matrix::MatrixL0;
 use crate::options::{Mode, Options};
-use crate::stats::ReadSource;
 
 /// Level-0 representation, by engine mode.
 pub enum Level0 {
     Pm(PmLevel0),
     Ssd(Vec<SsTableHandle>),
     Matrix(MatrixL0),
+}
+
+/// Point lookup in an SSD level-0. Its tables overlap, so the newest
+/// goes first, and an unreadable table fails the read: an older version
+/// of the key may hide behind it.
+pub fn get_ssd_level0(
+    tables: &[SsTableHandle],
+    user_key: &[u8],
+    snapshot: SequenceNumber,
+    tl: &mut Timeline,
+) -> Result<Option<Lookup>, TableError> {
+    for handle in tables.iter().rev() {
+        if !handle.overlaps_key(user_key) {
+            continue;
+        }
+        if let Some((seq, kind, value)) = handle.table.get(user_key, snapshot, tl)? {
+            return Ok(Some(Lookup { seq, kind, value }));
+        }
+    }
+    Ok(None)
 }
 
 /// What a minor compaction produced (for write-amplification accounting).
@@ -96,7 +116,7 @@ impl Partition {
         let level0 = match opts.mode {
             Mode::PmBlade | Mode::PmBladePm => Level0::Pm(PmLevel0::new()),
             Mode::SsdLevel0 => Level0::Ssd(Vec::new()),
-            Mode::MatrixKv => Level0::Matrix(MatrixL0::new(opts.matrix_columns)),
+            Mode::MatrixKv => Level0::Matrix(MatrixL0::new()),
         };
         Partition {
             id,
@@ -145,96 +165,29 @@ impl Partition {
         }
     }
 
-    /// Point lookup through every tier of this partition. The third
-    /// element is the SSD level that served the read (0 for an SSD
-    /// level-0 table, 1-based below), `None` for non-SSD sources.
-    /// Table-read errors propagate instead of being treated as misses.
-    pub fn get(
-        &self,
-        user_key: &[u8],
-        snapshot: SequenceNumber,
-        tl: &mut Timeline,
-    ) -> Result<(Option<Lookup>, ReadSource, Option<usize>), crate::engine::DbError> {
-        if let Some(hit) = self.mem.get(user_key, snapshot, tl) {
-            return Ok((Some(hit), ReadSource::MemTable, None));
-        }
-        self.get_below_memtable(user_key, snapshot, tl)
-    }
-
-    /// Point lookup through level-0 and the SSD levels, skipping the
-    /// memtable (which the engine's fast path has already probed).
-    /// Returns `(hit, source, ssd_level)` as in [`Partition::get`].
-    pub fn get_below_memtable(
-        &self,
-        user_key: &[u8],
-        snapshot: SequenceNumber,
-        tl: &mut Timeline,
-    ) -> Result<(Option<Lookup>, ReadSource, Option<usize>), crate::engine::DbError> {
-        match &self.level0 {
-            Level0::Pm(l0) => {
-                if let Some(hit) = l0.get(user_key, snapshot, tl) {
-                    return Ok((Some(hit), ReadSource::Pm, None));
-                }
-            }
-            Level0::Matrix(m) => {
-                if let Some(hit) = m.get(user_key, snapshot, tl) {
-                    return Ok((Some(hit), ReadSource::Pm, None));
-                }
-            }
-            Level0::Ssd(tables) => {
-                // SSD level-0 tables overlap: newest first. An unreadable
-                // table must fail the read — an older version of the key
-                // may hide behind it.
-                for handle in tables.iter().rev() {
-                    if !handle.overlaps_key(user_key) {
-                        continue;
-                    }
-                    if let Some((seq, kind, value)) = handle.table.get(user_key, snapshot, tl)? {
-                        return Ok((Some(Lookup { seq, kind, value }), ReadSource::Ssd, Some(0)));
-                    }
-                }
-            }
-        }
-        if let Some((hit, level)) = self.levels.get(user_key, snapshot, tl)? {
-            return Ok((Some(hit), ReadSource::Ssd, Some(level)));
-        }
-        Ok((None, ReadSource::Miss, None))
-    }
-
-    /// Range-scan sources across all tiers, newest tier first.
+    /// Range-scan sources across all tiers, newest tier first. An
+    /// unreadable SSTable fails the scan rather than dropping its rows.
     pub fn scan_sources(
         &self,
         start: &[u8],
         end: Option<&[u8]>,
         limit: usize,
         tl: &mut Timeline,
-    ) -> Vec<Vec<OwnedEntry>> {
+    ) -> Result<Vec<Vec<OwnedEntry>>, TableError> {
         let mut sources = vec![self.mem.scan_range(start, end, limit, tl)];
         match &self.level0 {
             Level0::Pm(l0) => sources.extend(l0.scan_sources(start, end, limit, tl)),
             Level0::Matrix(m) => sources.extend(m.scan_sources(start, end, limit, tl)),
             Level0::Ssd(tables) => {
                 for handle in tables.iter().rev() {
-                    if !handle.overlaps_range(start, end) {
-                        continue;
+                    if handle.overlaps_range(start, end) {
+                        sources.push(handle.read_range(start, end, limit, tl)?);
                     }
-                    let mut run = Vec::new();
-                    if let Ok(hits) = handle.table.scan_range(start, end, limit, tl) {
-                        for (ikey, value) in hits {
-                            run.push(OwnedEntry {
-                                user_key: encoding::key::user_key(&ikey).to_vec(),
-                                seq: encoding::key::sequence(&ikey),
-                                kind: encoding::key::kind(&ikey).expect("valid kind"),
-                                value,
-                            });
-                        }
-                    }
-                    sources.push(run);
                 }
             }
         }
-        sources.extend(self.levels.scan_sources(start, end, limit, tl));
-        sources
+        sources.extend(self.levels.scan_sources(start, end, limit, tl)?);
+        Ok(sources)
     }
 
     /// Minor compaction: freeze the memtable and flush it to level-0.
@@ -248,6 +201,7 @@ impl Partition {
         cache: &Arc<BlockCache>,
         table_counter: &AtomicU64,
         cache_ids: &CacheIds,
+        codec_costs: &CodecCostTable,
         tl: &mut Timeline,
     ) -> Result<Option<FlushReport>, crate::engine::DbError> {
         if self.mem.is_empty() {
@@ -265,7 +219,7 @@ impl Partition {
             Level0::Pm(l0) => build_pm_tables(
                 &entries,
                 opts.pm_table,
-                &opts.codec_costs,
+                codec_costs,
                 usize::MAX, // one flush = one unsorted table
                 pool,
                 cache_ids,
@@ -326,6 +280,7 @@ impl Partition {
         opts: &Options,
         pool: &PmPool,
         cache_ids: &CacheIds,
+        codec_costs: &CodecCostTable,
         tl: &mut Timeline,
     ) -> Result<Option<InternalCompactionReport>, crate::engine::DbError> {
         let Level0::Pm(l0) = &mut self.level0 else {
@@ -342,7 +297,7 @@ impl Partition {
         let run = build_pm_tables(
             &merged,
             opts.pm_table,
-            &opts.codec_costs,
+            codec_costs,
             opts.max_table_bytes,
             pool,
             cache_ids,
@@ -369,92 +324,56 @@ impl Partition {
     /// `table_limit` bounds how many level-0 tables move in this pass
     /// (`usize::MAX` = the whole level-0). Background workers pass the
     /// §V chunk size so the partition's write lock is released between
-    /// chunks; the oldest tables move first (see
-    /// [`PmLevel0::take_oldest`]) so reads stay correct mid-compaction.
-    /// Non-PM level-0s ignore the limit and drain fully.
-    #[allow(clippy::too_many_arguments)]
+    /// chunks; the oldest tables move first (see [`PmLevel0::oldest`])
+    /// so reads stay correct mid-compaction. Non-PM level-0s ignore the
+    /// limit and drain fully.
+    ///
+    /// Every input is read, and the new level stack built on a copy,
+    /// before anything is detached or replaced: on error the partition
+    /// and its SSTables are exactly as they were.
     pub fn major_compaction(
         &mut self,
         opts: &Options,
-        _pool: &PmPool,
         device: &Arc<SsdDevice>,
         cache: &Arc<BlockCache>,
         table_counter: &AtomicU64,
         table_limit: usize,
         tl: &mut Timeline,
     ) -> Result<MajorCompactionReport, crate::engine::DbError> {
-        // Collect level-0 input.
-        let mut sources: Vec<Vec<OwnedEntry>> = Vec::new();
-        let mut released_regions: Vec<pm_device::RegionId> = Vec::new();
-        let mut retired_cache_ids: Vec<u64> = Vec::new();
-        match &mut self.level0 {
-            Level0::Pm(l0) => {
-                let (chunk, regions, cache_ids) = l0.take_oldest(table_limit, tl);
-                sources.extend(chunk);
-                released_regions.extend(regions);
-                retired_cache_ids.extend(cache_ids);
-            }
-            Level0::Matrix(m) => {
-                sources.extend(m.drain_sources(tl));
-                released_regions.extend(m.take_regions());
-            }
-            Level0::Ssd(tables) => {
-                for handle in tables.iter().rev() {
-                    let mut run = Vec::new();
-                    if let Ok(all) = handle.table.scan_all(tl) {
-                        for (ikey, value) in all {
-                            run.push(OwnedEntry {
-                                user_key: encoding::key::user_key(&ikey).to_vec(),
-                                seq: encoding::key::sequence(&ikey),
-                                kind: encoding::key::kind(&ikey).expect("valid kind"),
-                                value,
-                            });
-                        }
-                    }
-                    sources.push(run);
-                }
-            }
-        }
-        if sources.iter().all(|s| s.is_empty()) {
-            // Nothing to move; report no deletions. The (empty) drained
-            // regions still go back through the report so the engine
-            // frees them after the manifest edit lands.
-            if let Level0::Ssd(tables) = &mut self.level0 {
-                tables.clear();
-            }
-            return Ok(MajorCompactionReport {
-                deleted_tables: Vec::new(),
-                retired_cache_ids,
-                released_regions,
-            });
-        }
-        // Merge with overlapping level-1 tables.
-        let first = sources
-            .iter()
-            .flat_map(|s| s.first())
-            .map(|e| e.user_key.clone())
-            .min()
-            .expect("nonempty");
-        let last = sources
-            .iter()
-            .flat_map(|s| s.last())
-            .map(|e| e.user_key.clone())
-            .max()
-            .expect("nonempty");
+        // Key range of the level-0 tables that move in this pass.
+        let bounds: Vec<(&[u8], &[u8])> = match &self.level0 {
+            Level0::Pm(l0) => l0
+                .oldest(table_limit)
+                .map(|h| (h.first.as_slice(), h.last.as_slice()))
+                .collect(),
+            Level0::Matrix(m) => m.key_ranges().collect(),
+            Level0::Ssd(tables) => tables
+                .iter()
+                .map(|h| (h.first.as_slice(), h.last.as_slice()))
+                .collect(),
+        };
+        let (Some(first), Some(last)) = (
+            bounds.iter().map(|b| b.0).min().map(<[u8]>::to_vec),
+            bounds.iter().map(|b| b.1).max().map(<[u8]>::to_vec),
+        ) else {
+            return Ok(MajorCompactionReport::default());
+        };
+        let mut sources: Vec<Vec<OwnedEntry>> = match &self.level0 {
+            Level0::Pm(l0) => l0
+                .oldest(table_limit)
+                .map(|h| h.table.scan_all(tl))
+                .collect(),
+            Level0::Matrix(m) => m.scan_all_sources(tl),
+            Level0::Ssd(tables) => tables
+                .iter()
+                .rev()
+                .map(|h| h.read_all(tl))
+                .collect::<Result<_, _>>()?,
+        };
         let l1_overlap = self.levels.overlapping(1, &first, &last);
-        let mut deleted: Vec<String> = Vec::new();
         let mut l1_run = Vec::new();
         for handle in &l1_overlap {
-            if let Ok(all) = handle.table.scan_all(tl) {
-                for (ikey, value) in all {
-                    l1_run.push(OwnedEntry {
-                        user_key: encoding::key::user_key(&ikey).to_vec(),
-                        seq: encoding::key::sequence(&ikey),
-                        kind: encoding::key::kind(&ikey).expect("valid kind"),
-                        value,
-                    });
-                }
-            }
+            l1_run.extend(handle.read_all(tl)?);
         }
         if !l1_run.is_empty() {
             sources.push(l1_run);
@@ -473,109 +392,49 @@ impl Partition {
             SsTableOptions::default(),
             tl,
         )?;
-        // Install: keep non-overlapping old L1 tables, insert the new run.
-        let old_l1 = self.levels.replace_level(1, Vec::new());
-        let mut next_l1: Vec<SsTableHandle> = Vec::new();
-        for handle in old_l1 {
-            if l1_overlap.iter().any(|o| o.name == handle.name) {
-                deleted.push(handle.name.clone());
-            } else {
-                next_l1.push(handle);
-            }
-        }
+        // Stage the new version: keep non-overlapping old L1 tables,
+        // insert the new run, then cascade oversized deeper levels.
+        let mut levels = self.levels.clone();
+        let (replaced, mut next_l1): (Vec<SsTableHandle>, Vec<SsTableHandle>) = levels
+            .replace_level(1, Vec::new())
+            .into_iter()
+            .partition(|h| l1_overlap.iter().any(|o| o.name == h.name));
+        let mut deleted: Vec<String> = replaced.into_iter().map(|h| h.name).collect();
         next_l1.extend(new_tables);
         next_l1.sort_by(|a, b| a.first.cmp(&b.first));
-        self.levels.replace_level(1, next_l1);
-        // Drop SSD L0 tables; PM regions are freed by the engine once
-        // the manifest edit recording this version is durable.
-        if let Level0::Ssd(tables) = &mut self.level0 {
-            for handle in tables.drain(..) {
-                deleted.push(handle.name.clone());
-            }
-        }
-        // Cascade oversized deeper levels.
-        deleted.extend(self.cascade_levels(opts, device, cache, table_counter, tl)?);
-        Ok(MajorCompactionReport {
-            deleted_tables: deleted,
-            retired_cache_ids,
-            released_regions,
-        })
-    }
-
-    /// Push oversized levels downward until every level fits its target.
-    fn cascade_levels(
-        &mut self,
-        opts: &Options,
-        device: &Arc<SsdDevice>,
-        cache: &Arc<BlockCache>,
-        table_counter: &AtomicU64,
-        tl: &mut Timeline,
-    ) -> Result<Vec<String>, crate::engine::DbError> {
-        let mut deleted = Vec::new();
-        let mut level = 1usize;
-        while level <= self.levels.depth() {
-            let target =
-                opts.l1_target as u64 * (opts.level_multiplier as u64).pow(level as u32 - 1);
-            if self.levels.level_bytes(level) <= target {
-                level += 1;
-                continue;
-            }
-            // Merge the whole level into the next one.
-            let this_level = self.levels.replace_level(level, Vec::new());
-            let next_level = self.levels.replace_level(level + 1, Vec::new());
-            let mut sources = Vec::new();
-            let mut run = Vec::new();
-            for handle in this_level.iter().chain(next_level.iter()) {
-                deleted.push(handle.name.clone());
-            }
-            for group in [&this_level, &next_level] {
-                run.clear();
-                for handle in group.iter() {
-                    if let Ok(all) = handle.table.scan_all(tl) {
-                        for (ikey, value) in all {
-                            run.push(OwnedEntry {
-                                user_key: encoding::key::user_key(&ikey).to_vec(),
-                                seq: encoding::key::sequence(&ikey),
-                                kind: encoding::key::kind(&ikey).expect("valid kind"),
-                                value,
-                            });
-                        }
+        levels.replace_level(1, next_l1);
+        match cascade_levels(&mut levels, self.id, opts, device, cache, table_counter, tl) {
+            Ok(more) => deleted.extend(more),
+            Err(e) => {
+                // Nothing references the tables this pass built.
+                for handle in levels.levels.iter().flatten() {
+                    if !self.levels.contains(&handle.name) {
+                        let _ = device.delete(&handle.name);
+                        cache.purge_table(sstable::cache::table_id(&handle.name));
                     }
                 }
-                if !run.is_empty() {
-                    sources.push(std::mem::take(&mut run));
-                }
+                return Err(e);
             }
-            let is_bottom = level + 1 >= self.levels.depth();
-            let merged = merge_dedup(sources, is_bottom, &opts.cost, tl);
-            let new_tables = build_ss_tables(
-                &merged,
-                device,
-                cache,
-                &format!("p{:03}-L{}", self.id, level + 1),
-                table_counter,
-                opts.max_table_bytes,
-                SsTableOptions::default(),
-                tl,
-            )?;
-            self.levels.replace_level(level + 1, new_tables);
-            level += 1;
         }
-        Ok(deleted)
+        // Install. SSD level-0 files go with the replaced tables; PM
+        // regions are freed by the engine once the manifest edit
+        // recording this version is durable.
+        self.levels = levels;
+        let mut report = MajorCompactionReport::default();
+        match &mut self.level0 {
+            Level0::Pm(l0) => {
+                (report.released_regions, report.retired_cache_ids) = l0.detach_oldest(table_limit);
+            }
+            Level0::Matrix(m) => report.released_regions = m.take_regions(),
+            Level0::Ssd(tables) => deleted.extend(tables.drain(..).map(|h| h.name)),
+        }
+        report.deleted_tables = deleted;
+        Ok(report)
     }
 
     /// Should the RocksDB-style level-0 trigger fire?
     pub fn ssd_l0_full(&self, trigger: usize) -> bool {
         matches!(&self.level0, Level0::Ssd(tables) if tables.len() >= trigger)
-    }
-
-    /// Entry kind helper for writes.
-    pub fn write_kind(delete: bool) -> KeyKind {
-        if delete {
-            KeyKind::Delete
-        } else {
-            KeyKind::Value
-        }
     }
 }
 
@@ -588,4 +447,53 @@ impl std::fmt::Debug for Partition {
             .field("ssd_bytes", &self.levels.total_bytes())
             .finish()
     }
+}
+
+/// Push oversized levels of `levels` downward until every level fits
+/// its target, returning the replaced tables' names. Both levels of a
+/// merge are read before either is replaced.
+fn cascade_levels(
+    levels: &mut SsdLevels,
+    pid: usize,
+    opts: &Options,
+    device: &Arc<SsdDevice>,
+    cache: &Arc<BlockCache>,
+    table_counter: &AtomicU64,
+    tl: &mut Timeline,
+) -> Result<Vec<String>, crate::engine::DbError> {
+    let mut deleted = Vec::new();
+    let mut level = 1usize;
+    while level <= levels.depth() {
+        let target = opts.l1_target as u64 * LEVEL_MULTIPLIER.pow(level as u32 - 1);
+        if levels.level_bytes(level) <= target {
+            level += 1;
+            continue;
+        }
+        // Merge the whole level into the next one.
+        let mut sources = Vec::new();
+        for n in [level, level + 1] {
+            let run = levels.read_level(n, tl)?;
+            if !run.is_empty() {
+                sources.push(run);
+            }
+        }
+        let this_level = levels.replace_level(level, Vec::new());
+        let next_level = levels.replace_level(level + 1, Vec::new());
+        deleted.extend(this_level.into_iter().chain(next_level).map(|h| h.name));
+        let is_bottom = level + 1 >= levels.depth();
+        let merged = merge_dedup(sources, is_bottom, &opts.cost, tl);
+        let new_tables = build_ss_tables(
+            &merged,
+            device,
+            cache,
+            &format!("p{:03}-L{}", pid, level + 1),
+            table_counter,
+            opts.max_table_bytes,
+            SsTableOptions::default(),
+            tl,
+        )?;
+        levels.replace_level(level + 1, new_tables);
+        level += 1;
+    }
+    Ok(deleted)
 }

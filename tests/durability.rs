@@ -13,7 +13,7 @@
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use pm_blade::{CompactionRequest, Db, MaintenanceMode, Mode, ScanRequest};
+use pm_blade::{CompactionRequest, Db, DbError, MaintenanceMode, Mode, ScanRequest};
 use pmblade_integration_tests::{key_for, tiny_options, value_for};
 use pmtable::CodecMode;
 use proptest::prelude::*;
@@ -394,7 +394,7 @@ fn mixed_codec_tables_survive_crash_and_reopen() {
     opts.l0_unsorted_hard_cap = 64;
     // Auto selection is the subject here — override any forced
     // PMBLADE_TEST_CODEC the matrix run injected via tiny_options.
-    opts.pm_codec_mode = CodecMode::Auto;
+    opts.pm_table.codec = CodecMode::Auto;
     let mut oracle: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
     let mut failed: Option<(Vec<u8>, Vec<u8>)> = None;
     let histogram;
@@ -480,4 +480,102 @@ fn crash_boundary_sweep_mid_flush_and_major() {
     for countdown in 1..120u64 {
         run_crash_case(&ops, countdown, countdown % 2 == 0, MaintenanceMode::Inline);
     }
+}
+
+// ---------------------------------------------------------------------
+// Corrupt media: one flipped byte in one SSTable data block must make
+// every read that needs the block fail loudly, and must never let a
+// scan or a compaction drop the table's rows.
+// ---------------------------------------------------------------------
+
+/// Fill a durable engine, leave an SSTable at `level` (`"L0"` or
+/// `"L1"`), flip one byte in its first data block, reopen, and check
+/// that scans, major compactions and gets report the damage instead of
+/// answering without the table's rows.
+fn corrupt_sstable_is_never_silent(mode: Mode, level: &str, tag: &str) {
+    const KEYS: u64 = 400;
+    let dir = scratch_dir(tag);
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut opts = tiny_options(mode);
+    opts.wal_dir = Some(dir.clone());
+    let value = |i: u64| value_for(i, 48);
+    {
+        let db = Db::open(opts.clone()).unwrap();
+        for i in 0..KEYS {
+            db.put(&key_for(i), &value(i)).unwrap();
+        }
+        db.compact(CompactionRequest::FlushAll).unwrap();
+        db.compact(CompactionRequest::Major { partition: 0 })
+            .unwrap();
+        // Rewrite the tail with the same values and flush it, so the
+        // SSD level-0 mode keeps one level-0 table. (PM-Blade keeps it
+        // in PM, clear of the first level-1 block.)
+        for i in KEYS - 100..KEYS {
+            db.put(&key_for(i), &value(i)).unwrap();
+        }
+        db.compact(CompactionRequest::FlushAll).unwrap();
+        db.close();
+    }
+    let ssd = dir.join("ssd");
+    let mut victims: Vec<std::path::PathBuf> = std::fs::read_dir(&ssd)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| {
+            let name = p.file_name().unwrap().to_string_lossy();
+            name.ends_with(".sst") && name.contains(&format!("-{level}-"))
+        })
+        .collect();
+    victims.sort();
+    let victim = victims
+        .first()
+        .unwrap_or_else(|| panic!("no {level} table under {}", ssd.display()))
+        .clone();
+    let mut bytes = std::fs::read(&victim).unwrap();
+    // Data blocks start at offset 0; byte 16 sits inside the first
+    // block's entries, so only its checksum can notice.
+    bytes[16] ^= 0xff;
+    std::fs::write(&victim, bytes).unwrap();
+
+    let db = Db::open(opts).unwrap();
+    assert!(
+        matches!(db.scan(ScanRequest::new()), Err(DbError::Table(_))),
+        "a scan over a corrupt table must fail, not return a short result"
+    );
+    // Give the major compaction a level-0 table that overlaps the
+    // corrupt one, so it must read it.
+    db.put(&key_for(0), &value(0)).unwrap();
+    db.compact(CompactionRequest::FlushAll).unwrap();
+    assert!(db
+        .compact(CompactionRequest::Major { partition: 0 })
+        .is_err());
+    assert!(victim.exists(), "a failed compaction must keep its inputs");
+    // Every key reads its value, except a contiguous run of keys that
+    // lives in the corrupt block, which reads as a typed error.
+    let mut failed = Vec::new();
+    for i in 0..KEYS {
+        match db.get(&key_for(i)) {
+            Ok(got) => assert_eq!(got.value, Some(value(i)), "key {i}"),
+            Err(DbError::Table(_)) => failed.push(i),
+            Err(e) => panic!("key {i}: unexpected error {e}"),
+        }
+    }
+    assert!(!failed.is_empty(), "the corrupt block must be read");
+    assert!(
+        failed.windows(2).all(|w| w[1] == w[0] + 1) && (failed.len() as u64) < KEYS / 2,
+        "only the corrupt block's keys may fail: {failed:?}"
+    );
+    assert!(db.metrics_snapshot().counter("ssd_read_errors_total") > 0);
+    db.close();
+    drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn corrupt_l1_table_fails_scan_and_major_in_pm_blade() {
+    corrupt_sstable_is_never_silent(Mode::PmBlade, "L1", "corrupt-l1");
+}
+
+#[test]
+fn corrupt_l0_table_fails_scan_and_major_in_ssd_level0() {
+    corrupt_sstable_is_never_silent(Mode::SsdLevel0, "L0", "corrupt-l0");
 }

@@ -28,7 +28,7 @@ pub fn tiny_options(mode: Mode) -> Options {
         ..Options::default()
     };
     if let Some(bits) = env_knob("PMBLADE_TEST_FILTER_BITS") {
-        opts.pm_filter_bits_per_key = bits;
+        opts.pm_table.filter_bits_per_key = bits;
     }
     if let Some(bytes) = env_knob("PMBLADE_TEST_GROUP_CACHE_BYTES") {
         opts.pm_group_cache_bytes = bytes;
@@ -37,7 +37,7 @@ pub fn tiny_options(mode: Mode) -> Options {
         opts.trace_sample_every = every as u64;
     }
     if let Ok(raw) = std::env::var("PMBLADE_TEST_CODEC") {
-        opts.pm_codec_mode = match raw.trim() {
+        opts.pm_table.codec = match raw.trim() {
             "prefix" => CodecMode::Prefix,
             "delta" => CodecMode::Delta,
             "fixed" => CodecMode::Fixed,

@@ -15,7 +15,7 @@ fn internal_compaction_caps_read_amplification() {
         // Bloom filters prune most unsorted-table probes, which would
         // mask the read-amp gap this shape measures; turn them off so
         // the comparison stays pure table-search amplification.
-        opts.pm_filter_bits_per_key = 0;
+        opts.pm_table.filter_bits_per_key = 0;
         Db::open(opts).unwrap()
     };
     let mut without = {
@@ -23,7 +23,7 @@ fn internal_compaction_caps_read_amplification() {
         // Keep its level-0 resident so the comparison is pure read-amp.
         opts.l0_table_trigger = usize::MAX;
         opts.tau_m = usize::MAX;
-        opts.pm_filter_bits_per_key = 0;
+        opts.pm_table.filter_bits_per_key = 0;
         Db::open(opts).unwrap()
     };
     for db in [&mut with, &mut without] {

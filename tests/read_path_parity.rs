@@ -21,7 +21,7 @@ use proptest::prelude::*;
 /// cache so evictions and re-fills happen constantly.
 fn accelerated_options() -> Options {
     let mut opts = tiny_options(Mode::PmBlade);
-    opts.pm_filter_bits_per_key = 10;
+    opts.pm_table.filter_bits_per_key = 10;
     opts.pm_group_cache_bytes = 32 << 10;
     opts
 }
@@ -29,7 +29,7 @@ fn accelerated_options() -> Options {
 /// The plain engine: no filters, no cache — the reference behaviour.
 fn plain_options() -> Options {
     let mut opts = tiny_options(Mode::PmBlade);
-    opts.pm_filter_bits_per_key = 0;
+    opts.pm_table.filter_bits_per_key = 0;
     opts.pm_group_cache_bytes = 0;
     opts
 }
@@ -181,20 +181,20 @@ fn straddle_ops() -> Vec<Op> {
 /// exercised with filters and a tiny cache against the plain engine.
 #[test]
 fn group_straddle_regression_parity() {
-    let pm_table = PmTableOptions {
+    // Each engine keeps its own filter budget and codec.
+    let straddle = |opts: Options| PmTableOptions {
         group_size: 8,
         extractor: MetaExtractor::Delimiter(b':'),
-        filter_bits_per_key: 0,   // overridden from pm_filter_bits_per_key
-        codec: CodecMode::Prefix, // overridden from pm_codec_mode
+        ..opts.pm_table
     };
     let fast = {
         let mut opts = accelerated_options();
-        opts.pm_table = pm_table;
+        opts.pm_table = straddle(opts.clone());
         Db::open(opts).unwrap()
     };
     let plain = {
         let mut opts = plain_options();
-        opts.pm_table = pm_table;
+        opts.pm_table = straddle(opts.clone());
         Db::open(opts).unwrap()
     };
     let k = |name: &str| format!("t0:{name}").into_bytes();
@@ -261,7 +261,7 @@ fn check_codec_oracle_parity(ops: &[Op]) {
     .into_iter()
     .map(|(name, mode)| {
         let mut opts = accelerated_options();
-        opts.pm_codec_mode = mode;
+        opts.pm_table.codec = mode;
         (name, Db::open(opts).unwrap())
     })
     .collect();

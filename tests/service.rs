@@ -463,7 +463,7 @@ fn traced_remote_get_spans_client_server_engine() {
     // Deliberately weak filters: the absent-key probes below need
     // bloom false positives to walk the PM-decode leg before falling
     // through to the SSD.
-    engine.pm_filter_bits_per_key = 1;
+    engine.pm_table.filter_bits_per_key = 1;
     engine.pm_group_cache_bytes = 256 << 10;
     engine.trace_sample_every = 0; // only wire-adopted contexts record
     engine.trace_slow_query_nanos = 0;

@@ -19,7 +19,7 @@ use proptest::prelude::*;
 /// cache; these tests need them on) and every request sampled.
 fn traced_opts() -> pm_blade::Options {
     let mut opts = tiny_options(Mode::PmBlade);
-    opts.pm_filter_bits_per_key = 10;
+    opts.pm_table.filter_bits_per_key = 10;
     opts.pm_group_cache_bytes = 256 << 10;
     opts.trace_sample_every = 1;
     opts.trace_slow_query_nanos = 0;
